@@ -26,7 +26,16 @@ use dft_core::{
     linear_consensus_for_all_nodes, AbConsensus, AlmostEverywhereAgreement, Checkpointing,
     FewCrashesConsensus, Gossip, ManyCrashesConsensus, SpreadCommonValue, SystemConfig,
 };
-use dft_sim::{RandomCrashes, Runner, SinglePortRunner};
+use std::io;
+
+use dft_sim::shard::{
+    serve_multi_port, serve_single_port, MultiPort, Recovery, RecoveryStats, ShardTransport,
+    ShardedRunner, SinglePort, SpShardedRunner, WireMsg, WireOutput,
+};
+use dft_sim::{
+    CrashAdversary, ExecutionReport, NoFaults, NodeSet, Participant, RandomCrashes, Runner,
+    SinglePortProtocol, SinglePortRunner, SyncProtocol,
+};
 use serde::{Deserialize, Serialize};
 
 /// One measured execution.
@@ -48,9 +57,7 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    fn from_report<O: Clone + PartialEq + std::fmt::Debug>(
-        report: &dft_sim::ExecutionReport<O>,
-    ) -> Self {
+    fn from_report<O: Clone + PartialEq + std::fmt::Debug>(report: &ExecutionReport<O>) -> Self {
         Measurement {
             rounds: report.metrics.rounds,
             messages: report.metrics.messages,
@@ -123,14 +130,6 @@ impl Workload {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
-    }
-
-    fn adversary(&self, horizon: u64) -> Box<dyn dft_sim::CrashAdversary> {
-        if self.crashes == 0 {
-            Box::new(dft_sim::NoFaults)
-        } else {
-            Box::new(RandomCrashes::new(self.n, self.crashes, horizon, self.seed))
-        }
     }
 
     /// The deterministic mixed boolean inputs every execution path derives
@@ -264,140 +263,304 @@ pub(crate) fn build_parallel_ds(w: &Workload) -> BuiltNodes<ParallelDsConsensus>
     }
 }
 
-/// Runs a built multi-port workload locally under the workload's crash
-/// adversary and fault budget.
-fn run_multi_port<P: dft_sim::SyncProtocol<Output: PartialEq>>(
-    w: &Workload,
-    built: BuiltNodes<P>,
-    fault_budget: usize,
-    adversary: Box<dyn dft_sim::CrashAdversary>,
-) -> Measurement {
-    let mut runner = Runner::with_adversary(built.nodes, adversary, fault_budget).expect("runner");
-    runner.set_jobs(w.jobs);
-    Measurement::from_report(&runner.run(built.rounds + 2))
+/// One execution of a table entry: the entry, its workload, and the
+/// protocol's round budget.
+#[derive(Clone, Copy)]
+pub(crate) struct Job<'w> {
+    pub(crate) kind: MeasureKind,
+    pub(crate) w: &'w Workload,
+    pub(crate) rounds: u64,
+}
+
+impl Job<'_> {
+    /// The crash adversary and fault budget the entry runs under (the
+    /// authenticated-Byzantine measurements run fault-free with budget 0).
+    pub(crate) fn adversary(&self) -> (Box<dyn CrashAdversary>, usize) {
+        let w = self.w;
+        match (self.kind.uses_crash_adversary(), w.crashes) {
+            (false, _) => (Box::new(NoFaults), 0),
+            (true, 0) => (Box::new(NoFaults), w.t),
+            (true, crashes) => {
+                let schedule = RandomCrashes::new(w.n, crashes, self.rounds, w.seed);
+                (Box::new(schedule), w.t)
+            }
+        }
+    }
+
+    /// The round cap: the protocol's budget plus the entry's slack.
+    pub(crate) fn max_rounds(&self) -> u64 {
+        self.rounds + self.kind.round_slack()
+    }
+}
+
+/// A communication model's ways into the round engine for nodes of type
+/// `P`: the in-process runner, the shard coordinator, and the shard
+/// worker's serve loop.
+pub(crate) trait Model<P> {
+    /// Runs `nodes` in this process.
+    fn run_local(nodes: Vec<P>, job: Job<'_>) -> Measurement;
+    /// Runs the job's nodes served behind shard `transports`.
+    fn run_sharded(
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+        job: Job<'_>,
+    ) -> (Measurement, RecoveryStats);
+    /// Serves one shard's `nodes`, the first of which is node `base`.
+    fn serve(nodes: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()>;
+}
+
+impl<P: SyncProtocol<Msg: WireMsg, Output: WireOutput>> Model<P> for MultiPort {
+    fn run_local(nodes: Vec<P>, job: Job<'_>) -> Measurement {
+        let (adversary, budget) = job.adversary();
+        let runner = Runner::with_adversary(nodes, adversary, budget).expect("runner");
+        Measurement::from_report(&runner.with_jobs(job.w.jobs).run(job.max_rounds()))
+    }
+
+    fn run_sharded(
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+        job: Job<'_>,
+    ) -> (Measurement, RecoveryStats) {
+        let (adversary, budget) = job.adversary();
+        let (n, byzantine) = (job.w.n, NodeSet::empty(job.w.n));
+        let mut runner = ShardedRunner::<P::Msg, P::Output>::connect(
+            n,
+            adversary,
+            budget,
+            byzantine,
+            job.w.shards,
+            transports,
+        )
+        .expect("sharded coordinator");
+        runner.set_recovery(recovery);
+        let report = runner.run(job.max_rounds()).expect("sharded execution");
+        (Measurement::from_report(&report), runner.recovery_stats())
+    }
+
+    fn serve(nodes: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
+        let participants = nodes.into_iter().map(Participant::Honest).collect();
+        serve_multi_port(participants, base, transport)
+    }
+}
+
+impl<P: SinglePortProtocol<Msg: WireMsg, Output: WireOutput>> Model<P> for SinglePort {
+    fn run_local(nodes: Vec<P>, job: Job<'_>) -> Measurement {
+        let (adversary, budget) = job.adversary();
+        let runner = SinglePortRunner::with_adversary(nodes, adversary, budget).expect("runner");
+        Measurement::from_report(&runner.with_jobs(job.w.jobs).run(job.max_rounds()))
+    }
+
+    fn run_sharded(
+        transports: Vec<Box<dyn ShardTransport>>,
+        recovery: Recovery,
+        job: Job<'_>,
+    ) -> (Measurement, RecoveryStats) {
+        let (adversary, budget) = job.adversary();
+        let mut runner = SpShardedRunner::<P::Msg, P::Output>::connect(
+            job.w.n,
+            adversary,
+            budget,
+            job.w.shards,
+            transports,
+        )
+        .expect("sharded coordinator");
+        runner.set_recovery(recovery);
+        let report = runner.run(job.max_rounds()).expect("sharded execution");
+        (Measurement::from_report(&report), runner.recovery_stats())
+    }
+
+    fn serve(nodes: Vec<P>, base: usize, transport: &mut dyn ShardTransport) -> io::Result<()> {
+        serve_single_port(nodes, base, transport)
+    }
+}
+
+/// A computation over one measurement table entry: its kind, node builder
+/// and model.
+pub(crate) trait Visit {
+    /// What the computation returns.
+    type Out;
+    /// Runs the computation for the entry `kind`.
+    fn visit<Md: Model<P>, P>(
+        self,
+        kind: MeasureKind,
+        build: fn(&Workload) -> BuiltNodes<P>,
+    ) -> Self::Out;
+}
+
+/// Declares the measurement table: one entry per `measure_*` function.
+macro_rules! measurements {
+    ($($(#[$doc:meta])* $kind:ident = $code:literal: $build:ident, $model:ident,
+        crash adversary: $crash:literal, round slack: $slack:literal;)+) => {
+        /// Which measurement to run — locally, or rebuilt by a shard worker.
+        ///
+        /// The code is part of the shard handshake wire format; variants map
+        /// 1:1 onto the crate's `measure_*` functions.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum MeasureKind {
+            $($(#[$doc])* $kind,)+
+        }
+
+        impl MeasureKind {
+            pub(crate) fn code(self) -> u8 {
+                match self {
+                    $(MeasureKind::$kind => $code,)+
+                }
+            }
+
+            pub(crate) fn from_code(code: u8) -> Option<MeasureKind> {
+                match code {
+                    $($code => Some(MeasureKind::$kind),)+
+                    _ => None,
+                }
+            }
+
+            /// Whether the kind runs under the workload's crash adversary
+            /// (the authenticated-Byzantine measurements run fault-free
+            /// with budget 0).
+            pub(crate) fn uses_crash_adversary(self) -> bool {
+                match self {
+                    $(MeasureKind::$kind => $crash,)+
+                }
+            }
+
+            /// Extra rounds allowed beyond the protocol's round budget.
+            pub(crate) fn round_slack(self) -> u64 {
+                match self {
+                    $(MeasureKind::$kind => $slack,)+
+                }
+            }
+
+            /// Hands this kind's builder and model to `visitor`.
+            pub(crate) fn visit<V: Visit>(self, visitor: V) -> V::Out {
+                match self {
+                    $(MeasureKind::$kind => visitor.visit::<$model, _>(self, $build),)+
+                }
+            }
+        }
+    };
+}
+
+measurements! {
+    /// `measure_aea` (Theorem 5).
+    Aea = 0: build_aea, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_scv` (Theorem 6).
+    Scv = 1: build_scv, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_few_crashes` (Theorem 7).
+    FewCrashes = 2: build_few_crashes, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_many_crashes` (Theorem 8).
+    ManyCrashes = 3: build_many_crashes, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_gossip` (Theorem 9).
+    Gossip = 4: build_gossip, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_checkpointing` (Theorem 10).
+    Checkpointing = 5: build_checkpointing, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_ab_consensus` (Theorem 11).
+    AbConsensus = 6: build_ab_consensus, MultiPort, crash adversary: false, round slack: 2;
+    /// `measure_linear_consensus` (Theorem 12, single-port).
+    LinearConsensus = 7: build_linear_consensus, SinglePort, crash adversary: true, round slack: 4;
+    /// `measure_flooding` (baseline).
+    Flooding = 8: build_flooding, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_all_to_all_gossip` (baseline).
+    AllToAllGossip = 9: build_all_to_all_gossip, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_naive_checkpointing` (baseline).
+    NaiveCheckpointing = 10: build_naive_checkpointing, MultiPort, crash adversary: true, round slack: 2;
+    /// `measure_parallel_ds` (baseline).
+    ParallelDs = 11: build_parallel_ds, MultiPort, crash adversary: false, round slack: 2;
+}
+
+/// Runs one table entry in this process.
+struct Local<'w>(&'w Workload);
+
+impl Visit for Local<'_> {
+    type Out = Measurement;
+
+    fn visit<Md: Model<P>, P>(
+        self,
+        kind: MeasureKind,
+        build: fn(&Workload) -> BuiltNodes<P>,
+    ) -> Measurement {
+        let built = build(self.0);
+        let rounds = built.rounds;
+        Md::run_local(
+            built.nodes,
+            Job {
+                kind,
+                w: self.0,
+                rounds,
+            },
+        )
+    }
+}
+
+/// Runs one measurement: in this process, or across `w.shards` worker
+/// processes (byte-identical either way).
+fn measure(kind: MeasureKind, w: &Workload) -> Measurement {
+    if w.shards > 1 {
+        shard::measure_sharded(kind, w)
+    } else {
+        kind.visit(Local(w))
+    }
 }
 
 /// Measures `Almost-Everywhere-Agreement` (Theorem 5).
 pub fn measure_aea(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Aea, w);
-    }
-    let built = build_aea(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::Aea, w)
 }
 
 /// Measures `Spread-Common-Value` (Theorem 6) with 3/5·n initialized nodes.
 pub fn measure_scv(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Scv, w);
-    }
-    let built = build_scv(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::Scv, w)
 }
 
 /// Measures `Few-Crashes-Consensus` (Theorem 7).
 pub fn measure_few_crashes(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::FewCrashes, w);
-    }
-    let built = build_few_crashes(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::FewCrashes, w)
 }
 
 /// Measures `Many-Crashes-Consensus` (Theorem 8 / Corollary 1).
 pub fn measure_many_crashes(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::ManyCrashes, w);
-    }
-    let built = build_many_crashes(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::ManyCrashes, w)
 }
 
 /// Measures `Gossip` (Theorem 9).
 pub fn measure_gossip(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Gossip, w);
-    }
-    let built = build_gossip(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::Gossip, w)
 }
 
 /// Measures `Checkpointing` (Theorem 10).
 pub fn measure_checkpointing(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Checkpointing, w);
-    }
-    let built = build_checkpointing(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::Checkpointing, w)
 }
 
 /// Measures `AB-Consensus` (Theorem 11) with all-honest participants (the
 /// cost side of the theorem counts non-faulty messages, which is maximised
 /// when everyone is honest).
 pub fn measure_ab_consensus(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::AbConsensus, w);
-    }
-    let built = build_ab_consensus(w);
-    run_multi_port(w, built, 0, Box::new(dft_sim::NoFaults))
+    measure(MeasureKind::AbConsensus, w)
 }
 
 /// Measures single-port `Linear-Consensus` (Theorem 12).
 pub fn measure_linear_consensus(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::LinearConsensus, w);
-    }
-    let built = build_linear_consensus(w);
-    let sp_rounds = built.rounds;
-    let mut runner =
-        SinglePortRunner::with_adversary(built.nodes, w.adversary(sp_rounds), w.t).expect("runner");
-    runner.set_jobs(w.jobs);
-    Measurement::from_report(&runner.run(sp_rounds + 4))
+    measure(MeasureKind::LinearConsensus, w)
 }
 
 /// Measures the flooding-consensus baseline.
 pub fn measure_flooding(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::Flooding, w);
-    }
-    let built = build_flooding(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::Flooding, w)
 }
 
 /// Measures the all-to-all gossip baseline.
 pub fn measure_all_to_all_gossip(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::AllToAllGossip, w);
-    }
-    let built = build_all_to_all_gossip(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::AllToAllGossip, w)
 }
 
 /// Measures the naive checkpointing baseline.
 pub fn measure_naive_checkpointing(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::NaiveCheckpointing, w);
-    }
-    let built = build_naive_checkpointing(w);
-    let adversary = w.adversary(built.rounds);
-    run_multi_port(w, built, w.t, adversary)
+    measure(MeasureKind::NaiveCheckpointing, w)
 }
 
 /// Measures the parallel Dolev–Strong Byzantine baseline.
 pub fn measure_parallel_ds(w: &Workload) -> Measurement {
-    if w.shards > 1 {
-        return shard::measure_sharded(shard::MeasureKind::ParallelDs, w);
-    }
-    let built = build_parallel_ds(w);
-    run_multi_port(w, built, 0, Box::new(dft_sim::NoFaults))
+    measure(MeasureKind::ParallelDs, w)
 }
 
 /// A labelled table of measurement rows, printable as aligned text.

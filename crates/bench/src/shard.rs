@@ -26,112 +26,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
-use dft_baselines::{Membership, RumorMap, SignedBatch};
-use dft_core::{AbMsg, CheckpointMsg, ExtantSet, FcMsg, GossipMsg, McMsg};
 use dft_sim::shard::{
-    self, frame, open_frame, serve_multi_port, serve_single_port, shard_count, shard_range,
-    ArmedPlan, ChannelTransport, DeadlineTransport, FaultPlan, Recovery, RecoveryStats,
-    ShardTransport, ShardedRunner, SpShardedRunner, StreamTransport, TransportFactory, Wire,
-    WireMsg, WireOutput,
+    self, frame, open_frame, shard_count, shard_range, ArmedPlan, ChannelTransport,
+    DeadlineTransport, FaultPlan, Recovery, RecoveryStats, ShardTransport, StreamTransport,
+    TransportFactory, Wire,
 };
-use dft_sim::{NodeSet, Participant, SinglePortProtocol, SyncProtocol};
 
-use crate::{
-    build_ab_consensus, build_aea, build_all_to_all_gossip, build_checkpointing, build_few_crashes,
-    build_flooding, build_gossip, build_linear_consensus, build_many_crashes,
-    build_naive_checkpointing, build_parallel_ds, build_scv, BuiltNodes, Measurement, Workload,
-};
+pub use crate::MeasureKind;
+use crate::{BuiltNodes, Job, Measurement, Model, Visit, Workload};
 
 /// Handshake frame tags (distinct from the round-protocol tags of
 /// `dft_sim::shard`, which start lower).
 const TAG_HELLO: u8 = 200;
 const TAG_HELLO_ACK: u8 = 201;
-
-/// Which measurement a shard worker should reconstruct.
-///
-/// The discriminant is part of the handshake wire format; variants map 1:1
-/// onto the crate's `measure_*` functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeasureKind {
-    /// `measure_aea` (Theorem 5).
-    Aea,
-    /// `measure_scv` (Theorem 6).
-    Scv,
-    /// `measure_few_crashes` (Theorem 7).
-    FewCrashes,
-    /// `measure_many_crashes` (Theorem 8).
-    ManyCrashes,
-    /// `measure_gossip` (Theorem 9).
-    Gossip,
-    /// `measure_checkpointing` (Theorem 10).
-    Checkpointing,
-    /// `measure_ab_consensus` (Theorem 11).
-    AbConsensus,
-    /// `measure_linear_consensus` (Theorem 12, single-port).
-    LinearConsensus,
-    /// `measure_flooding` (baseline).
-    Flooding,
-    /// `measure_all_to_all_gossip` (baseline).
-    AllToAllGossip,
-    /// `measure_naive_checkpointing` (baseline).
-    NaiveCheckpointing,
-    /// `measure_parallel_ds` (baseline).
-    ParallelDs,
-}
-
-impl MeasureKind {
-    fn code(self) -> u8 {
-        match self {
-            MeasureKind::Aea => 0,
-            MeasureKind::Scv => 1,
-            MeasureKind::FewCrashes => 2,
-            MeasureKind::ManyCrashes => 3,
-            MeasureKind::Gossip => 4,
-            MeasureKind::Checkpointing => 5,
-            MeasureKind::AbConsensus => 6,
-            MeasureKind::LinearConsensus => 7,
-            MeasureKind::Flooding => 8,
-            MeasureKind::AllToAllGossip => 9,
-            MeasureKind::NaiveCheckpointing => 10,
-            MeasureKind::ParallelDs => 11,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<MeasureKind> {
-        Some(match code {
-            0 => MeasureKind::Aea,
-            1 => MeasureKind::Scv,
-            2 => MeasureKind::FewCrashes,
-            3 => MeasureKind::ManyCrashes,
-            4 => MeasureKind::Gossip,
-            5 => MeasureKind::Checkpointing,
-            6 => MeasureKind::AbConsensus,
-            7 => MeasureKind::LinearConsensus,
-            8 => MeasureKind::Flooding,
-            9 => MeasureKind::AllToAllGossip,
-            10 => MeasureKind::NaiveCheckpointing,
-            11 => MeasureKind::ParallelDs,
-            _ => return None,
-        })
-    }
-
-    /// Whether the local `measure_*` path runs this kind under the
-    /// workload's crash adversary (the authenticated-Byzantine measurements
-    /// run fault-free with budget 0).
-    fn uses_crash_adversary(self) -> bool {
-        !matches!(self, MeasureKind::AbConsensus | MeasureKind::ParallelDs)
-    }
-
-    /// Extra rounds beyond the protocol budget the local path allows
-    /// (`+ 2` multi-port, `+ 4` single-port — see `measure_*`).
-    fn round_slack(self) -> u64 {
-        if self == MeasureKind::LinearConsensus {
-            4
-        } else {
-            2
-        }
-    }
-}
 
 /// Default per-frame read deadline on worker pipes: a worker that stalls
 /// longer than this trips `TimedOut` and enters the recovery ladder instead
@@ -390,7 +297,14 @@ fn fallback_factory(kind: MeasureKind, w: &Workload) -> TransportFactory {
     Box::new(move |index| {
         let (parent_end, mut worker_end) = ChannelTransport::pair();
         std::thread::spawn(move || {
-            if let Err(err) = serve_measure(kind, &w, index, false, &mut worker_end) {
+            let transport = &mut worker_end;
+            let serve = Serve {
+                w: &w,
+                index,
+                with_ack: false,
+                transport,
+            };
+            if let Err(err) = kind.visit(serve) {
                 eprintln!("in-process shard fallback {index}: {err}");
             }
         });
@@ -398,95 +312,28 @@ fn fallback_factory(kind: MeasureKind, w: &Workload) -> TransportFactory {
     })
 }
 
-fn adversary_for(
-    kind: MeasureKind,
-    w: &Workload,
-    rounds: u64,
-) -> (Box<dyn dft_sim::CrashAdversary>, usize) {
-    if kind.uses_crash_adversary() {
-        (w.adversary(rounds), w.t)
-    } else {
-        (Box::new(dft_sim::NoFaults), 0)
-    }
-}
+/// Drives one table entry across worker processes.
+struct Drive<'a>(&'a Workload, &'a ShardFaults);
 
-fn drive<M: WireMsg, O: WireOutput>(
-    kind: MeasureKind,
-    w: &Workload,
-    faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
-    let armed = faults.plan.arm();
-    let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
-    let (adversary, budget) = adversary_for(kind, w, rounds);
-    let mut runner = ShardedRunner::<M, O>::connect(
-        w.n,
-        adversary,
-        budget,
-        NodeSet::empty(w.n),
-        w.shards,
-        transports,
-    )
-    .expect("sharded coordinator");
-    runner.set_recovery(
-        Recovery::new(
+impl Visit for Drive<'_> {
+    type Out = (Measurement, RecoveryStats);
+
+    fn visit<Md: Model<P>, P>(
+        self,
+        kind: MeasureKind,
+        _build: fn(&Workload) -> BuiltNodes<P>,
+    ) -> (Measurement, RecoveryStats) {
+        let Drive(w, faults) = self;
+        let armed = faults.plan.arm();
+        let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
+        let recovery = Recovery::new(
             faults.max_respawns,
             respawn_factory(kind, w, faults, &armed, &children, rounds),
         )
-        .with_fallback(fallback_factory(kind, w)),
-    );
-    let report = runner
-        .run(rounds + kind.round_slack())
-        .expect("sharded execution");
-    let stats = runner.recovery_stats();
-    drop(runner);
-    reap(&children, !stats.any());
-    (Measurement::from_report(&report), stats)
-}
-
-fn drive_single_port<M: WireMsg, O: WireOutput>(
-    kind: MeasureKind,
-    w: &Workload,
-    faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
-    let armed = faults.plan.arm();
-    let (children, transports, rounds) = spawn_workers(kind, w, faults, &armed);
-    let (adversary, budget) = adversary_for(kind, w, rounds);
-    let mut runner = SpShardedRunner::<M, O>::connect(w.n, adversary, budget, w.shards, transports)
-        .expect("sharded coordinator");
-    runner.set_recovery(
-        Recovery::new(
-            faults.max_respawns,
-            respawn_factory(kind, w, faults, &armed, &children, rounds),
-        )
-        .with_fallback(fallback_factory(kind, w)),
-    );
-    let report = runner
-        .run(rounds + kind.round_slack())
-        .expect("sharded execution");
-    let stats = runner.recovery_stats();
-    drop(runner);
-    reap(&children, !stats.any());
-    (Measurement::from_report(&report), stats)
-}
-
-fn measure_sharded_with(
-    kind: MeasureKind,
-    w: &Workload,
-    faults: &ShardFaults,
-) -> (Measurement, RecoveryStats) {
-    match kind {
-        MeasureKind::Aea => drive::<dft_core::AeaMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::Scv => drive::<dft_core::ScvMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::FewCrashes => drive::<FcMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::ManyCrashes => drive::<McMsg, bool>(kind, w, faults),
-        MeasureKind::Gossip => drive::<GossipMsg, ExtantSet>(kind, w, faults),
-        MeasureKind::Checkpointing => drive::<CheckpointMsg, Vec<usize>>(kind, w, faults),
-        MeasureKind::AbConsensus => drive::<AbMsg, u64>(kind, w, faults),
-        MeasureKind::LinearConsensus => drive_single_port::<FcMsg<bool>, bool>(kind, w, faults),
-        MeasureKind::Flooding => drive::<bool, bool>(kind, w, faults),
-        MeasureKind::AllToAllGossip => drive::<Arc<RumorMap>, RumorMap>(kind, w, faults),
-        MeasureKind::NaiveCheckpointing => drive::<Arc<Membership>, Vec<usize>>(kind, w, faults),
-        MeasureKind::ParallelDs => drive::<Arc<SignedBatch>, u64>(kind, w, faults),
+        .with_fallback(fallback_factory(kind, w));
+        let result = Md::run_sharded(transports, recovery, Job { kind, w, rounds });
+        reap(&children, !result.1.any());
+        result
     }
 }
 
@@ -496,7 +343,7 @@ fn measure_sharded_with(
 /// every recovery path.
 pub(crate) fn measure_sharded(kind: MeasureKind, w: &Workload) -> Measurement {
     let faults = global_faults();
-    let (measurement, stats) = measure_sharded_with(kind, w, &faults);
+    let (measurement, stats) = kind.visit(Drive(w, &faults));
     record_totals(stats);
     measurement
 }
@@ -518,7 +365,7 @@ pub fn measure_sharded_faulty(
         max_respawns,
         deadline: deadline.unwrap_or(DEFAULT_READ_DEADLINE),
     };
-    measure_sharded_with(kind, w, &faults)
+    kind.visit(Drive(w, &faults))
 }
 
 // ---------------------------------------------------------------------------
@@ -575,103 +422,43 @@ fn serve(transport: &mut dyn ShardTransport) -> io::Result<()> {
         jobs: 1,
         shards,
     };
-    serve_measure(kind, &w, index, true, transport)
+    kind.visit(Serve {
+        w: &w,
+        index,
+        with_ack: true,
+        transport,
+    })
 }
 
-/// Deterministically rebuilds the named measurement's nodes and serves this
-/// shard's range.  `with_ack` controls whether the handshake ack precedes
-/// the round protocol: worker processes ack, the in-process fallback does
-/// not (the coordinator's replay log carries only round frames).
-fn serve_measure(
-    kind: MeasureKind,
-    w: &Workload,
+/// Deterministically rebuilds a table entry's nodes and serves this shard's
+/// range.  `with_ack` controls whether the handshake ack precedes the round
+/// protocol: worker processes ack, the in-process fallback does not (the
+/// coordinator's replay log carries only round frames).
+struct Serve<'a> {
+    w: &'a Workload,
     index: usize,
     with_ack: bool,
-    transport: &mut dyn ShardTransport,
-) -> io::Result<()> {
-    match kind {
-        MeasureKind::Aea => serve_chunk(build_aea(w), w, index, with_ack, transport),
-        MeasureKind::Scv => serve_chunk(build_scv(w), w, index, with_ack, transport),
-        MeasureKind::FewCrashes => serve_chunk(build_few_crashes(w), w, index, with_ack, transport),
-        MeasureKind::ManyCrashes => {
-            serve_chunk(build_many_crashes(w), w, index, with_ack, transport)
-        }
-        MeasureKind::Gossip => serve_chunk(build_gossip(w), w, index, with_ack, transport),
-        MeasureKind::Checkpointing => {
-            serve_chunk(build_checkpointing(w), w, index, with_ack, transport)
-        }
-        MeasureKind::AbConsensus => {
-            serve_chunk(build_ab_consensus(w), w, index, with_ack, transport)
-        }
-        MeasureKind::LinearConsensus => {
-            serve_chunk_single_port(build_linear_consensus(w), w, index, with_ack, transport)
-        }
-        MeasureKind::Flooding => serve_chunk(build_flooding(w), w, index, with_ack, transport),
-        MeasureKind::AllToAllGossip => {
-            serve_chunk(build_all_to_all_gossip(w), w, index, with_ack, transport)
-        }
-        MeasureKind::NaiveCheckpointing => {
-            serve_chunk(build_naive_checkpointing(w), w, index, with_ack, transport)
-        }
-        MeasureKind::ParallelDs => serve_chunk(build_parallel_ds(w), w, index, with_ack, transport),
-    }
+    transport: &'a mut dyn ShardTransport,
 }
 
-fn ack(transport: &mut dyn ShardTransport, rounds: u64) -> io::Result<()> {
-    let mut out = frame(TAG_HELLO_ACK);
-    rounds.encode(&mut out);
-    transport.send(&out)
-}
+impl Visit for Serve<'_> {
+    type Out = io::Result<()>;
 
-fn serve_chunk<P>(
-    built: BuiltNodes<P>,
-    w: &Workload,
-    index: usize,
-    with_ack: bool,
-    transport: &mut dyn ShardTransport,
-) -> io::Result<()>
-where
-    P: SyncProtocol,
-    P::Msg: Wire,
-    P::Output: Wire,
-{
-    if with_ack {
-        ack(transport, built.rounds)?;
+    fn visit<Md: Model<P>, P>(
+        self,
+        _kind: MeasureKind,
+        build: fn(&Workload) -> BuiltNodes<P>,
+    ) -> io::Result<()> {
+        let built = build(self.w);
+        if self.with_ack {
+            let mut ack = frame(TAG_HELLO_ACK);
+            built.rounds.encode(&mut ack);
+            self.transport.send(&ack)?;
+        }
+        let range = shard_range(self.w.n, self.w.shards, self.index);
+        let nodes = built.nodes.into_iter().skip(range.start).take(range.len());
+        Md::serve(nodes.collect(), range.start, self.transport)
     }
-    let range = shard_range(w.n, w.shards, index);
-    let chunk: Vec<Participant<P>> = built
-        .nodes
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .map(Participant::Honest)
-        .collect();
-    serve_multi_port(chunk, range.start, transport)
-}
-
-fn serve_chunk_single_port<P>(
-    built: BuiltNodes<P>,
-    w: &Workload,
-    index: usize,
-    with_ack: bool,
-    transport: &mut dyn ShardTransport,
-) -> io::Result<()>
-where
-    P: SinglePortProtocol,
-    P::Msg: Wire,
-    P::Output: Wire,
-{
-    if with_ack {
-        ack(transport, built.rounds)?;
-    }
-    let range = shard_range(w.n, w.shards, index);
-    let chunk: Vec<P> = built
-        .nodes
-        .into_iter()
-        .skip(range.start)
-        .take(range.len())
-        .collect();
-    serve_single_port(chunk, range.start, transport)
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
-//! The batched-delivery core shared by both round engines.
+//! The round state of the engine (see [`crate::engine`]).
 //!
-//! [`Runner`](crate::Runner) and [`SinglePortRunner`](crate::SinglePortRunner)
-//! drive different communication models but share the same round skeleton:
-//! collect intents from running nodes, let the crash adversary pick this
-//! round's victims, deliver the surviving messages, then advance node
-//! statuses.  [`EngineCore`] holds the state both engines need across rounds
-//! and keeps it *incremental*: the alive/crashed [`NodeSet`]s handed to the
+//! Both communication models share the same round skeleton: collect intents
+//! from running nodes, let the crash adversary pick this round's victims,
+//! deliver the surviving messages, then advance node statuses.
+//! [`EngineCore`] holds the state both models' round loops need across
+//! rounds and keeps it *incremental*: the alive/crashed [`NodeSet`]s handed to the
 //! adversary are updated on each crash instead of being re-derived from the
 //! status vector every round, and the per-node delivery-filter slots are
 //! reused flat buffers rather than a fresh allocation per round.
@@ -24,7 +23,7 @@ use crate::protocol::NodeStatus;
 use crate::round::Round;
 use crate::trace::{Event, Trace};
 
-/// Round-engine state shared by the multi-port and single-port runners:
+/// Round-engine state shared by the multi-port and single-port rounds:
 /// statuses, incremental alive/crashed sets, crash bookkeeping, metrics and
 /// tracing.
 pub(crate) struct EngineCore {

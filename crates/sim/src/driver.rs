@@ -13,10 +13,10 @@
 //!    and return a [`RoundOutcome`].
 //!
 //! The core knows nothing about threads, pipes, or sockets: every backend —
-//! the in-process runners ([`crate::Runner`] / [`crate::SinglePortRunner`]),
-//! their worker-pool phase dispatch, the shard workers of [`crate::shard`],
-//! and the `dft-node` TCP cluster — drives the *same* struct and differs
-//! only in how phase inputs and outputs move.  That is what keeps every
+//! the round engine's in-process host (inline or on its worker pool), the
+//! shard workers behind its transport host (see [`crate::engine`]), and
+//! the `dft-node` TCP cluster — drives the *same* struct and differs only
+//! in how phase inputs and outputs move.  That is what keeps every
 //! backend byte-identical: the round semantics live here exactly once.
 //!
 //! This module is a layer boundary enforced by `dft-analyze`'s
@@ -27,9 +27,9 @@
 //!
 //! The crash adversary's contract ([`crate::CrashAdversary`]) hands one
 //! mutable strategy a coherent view of the *whole* round, so the phase can
-//! never be split across cores.  Backends run it centrally (the runners on
-//! the main thread, the shard coordinator in the parent process, the
-//! cluster launcher before spawning) and mirror its verdicts into each
+//! never be split across cores.  Backends run it centrally (the engine on
+//! its own thread, in-process or sharded; the cluster launcher before
+//! spawning) and mirror its verdicts into each
 //! core with [`RoundCore::set_crashed`]; the resulting delivery filters are
 //! passed to [`RoundCore::deliver`].  Because the shipped adversaries are
 //! deterministic functions of `(seed, round)`, every backend derives the
@@ -317,8 +317,8 @@ impl<P: SyncProtocol> RoundCore<P> {
 /// single-port execution, owning nodes `base .. base + len()`.
 ///
 /// Port buffers are shared, order-sensitive state and therefore live in the
-/// backend (the runners' sparse `PortMap`, the shard coordinator's parent
-/// side): the core only collects each node's single send and poll intent
+/// backend (the engine's sparse `PortMap`, whichever host carries the
+/// chunks): the core only collects each node's single send and poll intent
 /// ([`SinglePortCore::begin_round`]) and consumes backend-pre-drained port
 /// contents ([`SinglePortCore::finalize`]).
 pub struct SinglePortCore<P: SinglePortProtocol> {

@@ -24,21 +24,19 @@
 //!   model.
 //! * [`driver`] — the sans-I/O round cores ([`RoundCore`] /
 //!   [`SinglePortCore`]): the four-phase round semantics as pure state
-//!   transitions, with no knowledge of threads, pipes, or sockets.  Every
-//!   backend below — the in-process runners, the worker pool, the shard
-//!   workers, and the `dft-node` TCP cluster — drives these same structs.
-//! * [`parallel`] — the deterministic parallel-execution layer: both
-//!   runners accept a job count (`set_jobs`) and split their per-node phase
-//!   loops across a *persistent* worker pool (spawned once per runner,
-//!   parked between phases; see the `pool` module), merging per-worker
-//!   scratch in fixed node-index order so parallel runs are byte-identical
-//!   to serial ones.  The crash-adversary phase always stays serial.
-//! * [`shard`] — the cross-process layer above the pool: one execution's
-//!   chunks served by shard workers (in-process threads or
-//!   `run_experiments --shard-worker` child processes) behind a versioned
-//!   binary wire format, with the crash phase and the fixed-chunk-order
-//!   merge kept in the coordinating process so sharded runs stay
-//!   byte-identical too.
+//!   transitions, with no knowledge of threads, pipes, or sockets.
+//! * [`engine`] — the one round loop per model around the cores: the
+//!   [`Engine`] owns the crash phase, the fixed chunk-order merge, the
+//!   single-port port buffers, the decision/halt replay and the run loop,
+//!   and reaches the cores through a host.  [`Runner`] and
+//!   [`SinglePortRunner`] are the engine over in-process cores, which run
+//!   inline or — with `set_jobs` — on a persistent worker pool
+//!   ([`parallel`], [`pool`]).
+//! * [`shard`] — the transport host: one execution's chunks served by
+//!   shard workers (in-process threads or `run_experiments --shard-worker`
+//!   child processes) behind a versioned binary wire format.  The sharded
+//!   runners are the same engine, so sharded runs are byte-identical to
+//!   serial and `--jobs N` ones.
 //!
 //! # Quick example
 //!
@@ -101,6 +99,7 @@
 pub mod adversary;
 mod delivery;
 pub mod driver;
+pub mod engine;
 mod error;
 mod message;
 mod metrics;
@@ -120,6 +119,7 @@ pub use adversary::{
     FixedCrashSchedule, NoFaults, RandomCrashes, TargetedCrashes,
 };
 pub use driver::{NodeEvent, RoundCore, RoundOutcome, SinglePortCore};
+pub use engine::Engine;
 pub use error::{SimError, SimResult};
 pub use message::{Delivered, Outgoing, Payload};
 pub use metrics::Metrics;

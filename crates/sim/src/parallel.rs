@@ -1,12 +1,12 @@
-//! Deterministic parallel-execution helpers for the round engines.
+//! Deterministic parallel-execution helpers for the round engine.
 //!
-//! Both runners can split their per-node phase loops (send collection,
-//! delivery, receive) across the persistent worker pool in
+//! The engine's in-process host can split the per-node phase loops (send
+//! collection, delivery, receive) across the persistent worker pool in
 //! [`crate::pool`].  The parallel schedule is *deterministic by
 //! construction*: nodes are partitioned into contiguous index chunks, each
 //! chunk is pinned to one pool worker, and every cross-chunk effect
 //! (delivered messages, metric counters, decision and halt events) is
-//! collected into per-chunk scratch buffers that the main thread merges in
+//! collected into per-chunk scratch buffers that the engine merges in
 //! fixed node-index order.  Serial and parallel executions of the same
 //! seeded workload therefore produce byte-identical reports, traces and
 //! experiment tables — the determinism suite in
@@ -27,8 +27,8 @@ pub fn available_jobs() -> usize {
 }
 
 /// Below this node count the per-round dispatch overhead outweighs any
-/// speedup; the runners fall back to their serial loops (which are
-/// observationally identical, so the cutoff is invisible to callers).
+/// speedup; the in-process host keeps one inline core (observationally
+/// identical, so the cutoff is invisible to callers).
 ///
 /// This is the multi-port threshold: a multi-port round moves
 /// `O(n · degree)` messages, so even modest systems amortise the ~µs cost

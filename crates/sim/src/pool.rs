@@ -13,8 +13,8 @@
 //! # Ownership-shuttle design (why there is no `unsafe` here)
 //!
 //! Scoped threads get their borrows from the scope's lifetime; a persistent
-//! pool has no scope, and this crate forbids `unsafe`, so the runners never
-//! *lend* state to workers at all.  Instead each runner partitions its
+//! pool has no scope, and this crate forbids `unsafe`, so the in-process
+//! host never *lends* state to workers at all.  Instead it partitions the
 //! per-node state into owned chunk structs (one per worker, contiguous node
 //! ranges).  A phase dispatch **moves** each chunk into a boxed closure,
 //! sends it to the chunk's dedicated worker, and the closure sends the chunk
@@ -40,8 +40,8 @@
 //!
 //! The module is public so `crates/bench/benches/pool_handoff.rs` can put a
 //! number on the handoff itself (against a fresh `thread::scope` fork/join,
-//! the cost the runners used to pay per phase); the runners remain the only
-//! in-tree dispatchers.
+//! the cost the runners used to pay per phase); the engine's in-process host
+//! is the only in-tree dispatcher.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::JoinHandle;
@@ -52,7 +52,7 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A persistent set of worker threads, one job queue per worker.
 ///
-/// Workers are identified by index; the runners always send chunk `i` to
+/// Workers are identified by index; the host always sends chunk `i` to
 /// worker `i`, which keeps the chunk's cache footprint on one thread across
 /// rounds and makes the assignment deterministic by construction.
 pub struct WorkerPool {
@@ -104,8 +104,8 @@ impl WorkerPool {
     /// One full phase dispatch of the ownership-shuttle protocol: moves
     /// each chunk in `chunks` (all slots must be home, i.e. `Some`) to its
     /// pinned worker, runs `phase` on it there, and waits for every chunk
-    /// to come home.  Both runners route all their phase loops through
-    /// this, so the dispatch/panic protocol lives in exactly one place.
+    /// to come home.  The in-process host routes every phase through this,
+    /// so the dispatch/panic protocol lives in exactly one place.
     ///
     /// # Panics
     ///

@@ -1,40 +1,33 @@
-//! The multi-port synchronous runner.
+//! The multi-port model: its participants, its round loop, and
+//! [`Runner`], the in-process engine that runs it.
 //!
-//! Drives a set of protocol state machines through lock-step rounds under a
-//! crash adversary and/or Byzantine participants, collecting the metrics the
-//! paper reports: rounds until all non-faulty nodes halt, messages and bits
-//! sent by non-faulty nodes.
-//!
-//! The round semantics live in the sans-I/O [`RoundCore`]
-//! (see [`crate::driver`]): the runner partitions its nodes into one or more
-//! cores and drives the same four-phase protocol every backend drives —
-//! collect sends, run the crash adversary centrally, deliver, finalize.
-//! With one core (the default) the phases run inline on this thread; with
-//! [`Runner::set_jobs`] the per-core phase bodies run on the persistent
-//! worker pool of [`crate::pool`] (workers are spawned once, on the first
-//! forked round, and phase work is handed to them by moving owned cores
-//! over channels — the ownership-shuttle design described in the pool
-//! module docs).  The crash-adversary phase always stays serial.
-//!
-//! Execution is deterministic regardless of the partition: per-core scratch
-//! buffers are merged in fixed node-index order, so reports, metrics and
-//! traces are byte-identical across core counts (see [`crate::parallel`]
-//! and the threading-model notes in `DESIGN.md`).
+//! A multi-port round has four phases: the nodes collect their sends, the
+//! crash adversary picks victims centrally, the surviving messages are
+//! delivered, and the nodes receive.  The per-node bodies are the sans-I/O
+//! [`RoundCore`] (see [`crate::driver`]); the order-sensitive rest — the
+//! crash phase, merging every chunk's delivered messages and metric counts
+//! in ascending chunk (= sender) order, routing them to inboxes, and the
+//! decision/halt replay — is [`Engine::multi_port_round`], written once for
+//! every host ([`crate::engine`]).  The partition into chunks is therefore
+//! invisible: reports, metrics and traces are byte-identical across job
+//! counts and shard counts (see the threading-model notes in `DESIGN.md`).
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use crate::adversary::byzantine::ByzantineStrategy;
 use crate::adversary::{CrashAdversary, DeliveryFilter, NoFaults};
-use crate::delivery::EngineCore;
 use crate::driver::RoundCore;
-use crate::error::{SimError, SimResult};
+use crate::engine::{
+    replay_core_events, ChunkCore, Engine, EventSink, InProcess, MultiPortHost, Staged,
+};
+use crate::error::SimResult;
+use crate::message::Delivered;
 use crate::node::{NodeId, NodeSet};
-use crate::parallel::{self, ChunkPlan};
-use crate::pool::WorkerPool;
-use crate::protocol::{NodeStatus, SyncProtocol};
-use crate::report::{ExecutionReport, Termination};
+use crate::parallel;
+use crate::protocol::SyncProtocol;
+use crate::report::ExecutionReport;
 use crate::round::Round;
-use crate::trace::Trace;
 
 /// A participant in an execution: either an honest node running the protocol
 /// under test or a Byzantine node running an arbitrary strategy.
@@ -64,11 +57,19 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
     }
 }
 
-/// Multi-port synchronous runner.
+/// The Byzantine members of a participant list.
+pub(crate) fn byzantine_set<P: SyncProtocol>(participants: &[Participant<P>]) -> NodeSet {
+    let members = participants.iter().enumerate();
+    let byzantine = members.filter(|(_, p)| p.is_byzantine());
+    NodeSet::from_iter(participants.len(), byzantine.map(|(i, _)| NodeId::new(i)))
+}
+
+/// Multi-port synchronous runner: the [`Engine`] over in-process
+/// [`RoundCore`]s.
 ///
 /// Messages addressed to nodes that have crashed **or halted** are dropped
 /// at delivery time (they are still counted against the sender): a halted
-/// node no longer participates in the protocol.  Both runners share this
+/// node no longer participates in the protocol.  Both models share this
 /// rule — see `SinglePortRunner` for the buffered-port variant.
 ///
 /// # Examples
@@ -93,49 +94,14 @@ impl<P: SyncProtocol> std::fmt::Debug for Participant<P> {
 /// assert!(report.all_non_faulty_decided());
 /// assert_eq!(report.metrics.rounds, 1);
 /// ```
-pub struct Runner<P: SyncProtocol> {
-    /// `byzantine_mask[i]` iff participant `i` is Byzantine.  Membership is
-    /// fixed at construction; the mask lets delivery workers read it without
-    /// requiring `Sync` on participants.
-    byzantine_mask: Vec<bool>,
-    adversary: Box<dyn CrashAdversary>,
-    core: EngineCore,
-    /// Worker threads used for the per-node phase loops (1 = serial).
-    jobs: usize,
-    /// Node count above which `jobs > 1` engages the worker pool (see
-    /// `parallel::MIN_NODES_PER_FORK`).
-    fork_threshold: usize,
-    /// Per-node intended destinations handed to the adversary (reused).
-    send_intents: Vec<Vec<NodeId>>,
-    /// The multi-port model has no polling; the adversary still sees one
-    /// (always-`None`) slot per node.  See [`crate::AdversaryView`].
-    poll_intents: Vec<Option<NodeId>>,
-    /// Byzantine participants still running — with
-    /// [`EngineCore::running_nodes`] this makes the per-round "has every
-    /// non-faulty node halted?" check O(1).
-    byz_running: usize,
-    /// Persistent phase workers; spawned lazily on the first forked round
-    /// and reused for every subsequent one (kept across re-partitions).
-    pool: Option<WorkerPool>,
-    /// The shared empty filter list for rounds with no fresh crashes (the
-    /// overwhelmingly common case): cloning this `Arc` is a refcount bump,
-    /// so the delivery phase only allocates a filter list on the at most
-    /// `t` rounds in which a crash actually lands.
-    no_filters: Arc<Vec<(usize, DeliveryFilter)>>,
-    /// The sans-I/O cores holding all per-node state, partitioned per
-    /// `plan` (one core while serial).  Slots are `None` only transiently,
-    /// while their core is out on a pool worker.
-    cores: Vec<Option<RoundCore<P>>>,
-    /// The partition the current `cores` were built with.
-    plan: ChunkPlan,
-}
+pub type Runner<P> = Engine<InProcess<RoundCore<P>>>;
 
 impl<P: SyncProtocol> Runner<P> {
     /// Creates a runner over honest nodes only, with no faults.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `protocols` is empty.
+    /// Returns [`SimError::EmptySystem`](crate::SimError::EmptySystem) if `protocols` is empty.
     pub fn new(protocols: Vec<P>) -> SimResult<Self> {
         Self::with_adversary(protocols, Box::new(NoFaults), 0)
     }
@@ -145,8 +111,8 @@ impl<P: SyncProtocol> Runner<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `protocols` is empty, or
-    /// [`SimError::InvalidConfig`] if the budget is not smaller than the
+    /// Returns [`SimError::EmptySystem`](crate::SimError::EmptySystem) if `protocols` is empty, or
+    /// [`SimError::InvalidConfig`](crate::SimError::InvalidConfig) if the budget is not smaller than the
     /// number of nodes.
     pub fn with_adversary(
         protocols: Vec<P>,
@@ -161,353 +127,170 @@ impl<P: SyncProtocol> Runner<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySystem`] if `participants` is empty, or
-    /// [`SimError::InvalidConfig`] if the crash budget is not smaller than
+    /// Returns [`SimError::EmptySystem`](crate::SimError::EmptySystem) if `participants` is empty, or
+    /// [`SimError::InvalidConfig`](crate::SimError::InvalidConfig) if the crash budget is not smaller than
     /// the number of nodes.
     pub fn with_participants(
         participants: Vec<Participant<P>>,
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
     ) -> SimResult<Self> {
-        if participants.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
-        if fault_budget >= participants.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "fault budget {fault_budget} must be smaller than the number of nodes {}",
-                participants.len()
-            )));
-        }
         let n = participants.len();
-        let byzantine_mask: Vec<bool> =
-            participants.iter().map(Participant::is_byzantine).collect();
-        let byz_running = byzantine_mask.iter().filter(|&&b| b).count();
-        Ok(Runner {
-            byzantine_mask,
-            adversary,
-            core: EngineCore::new(n, fault_budget),
-            jobs: 1,
-            fork_threshold: parallel::MIN_NODES_PER_FORK,
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            poll_intents: vec![None; n],
-            byz_running,
-            pool: None,
-            no_filters: Arc::new(Vec::new()),
-            cores: vec![Some(RoundCore::new(0, participants))],
-            plan: ChunkPlan::new(n, 1),
-        })
-    }
-
-    /// Enables coarse-grained event tracing.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.core.trace = Trace::enabled();
-        self
-    }
-
-    /// Sets the number of worker threads for the per-node phase loops.
-    ///
-    /// `1` (the default) keeps the single inline core; `0` means "pick for
-    /// me" ([`parallel::available_jobs`]).  Parallel execution is
-    /// deterministic — reports, metrics and traces are byte-identical to a
-    /// serial run — so this is purely a performance knob.  Systems below
-    /// the fork threshold stay on the single-core path regardless.
-    pub fn set_jobs(&mut self, jobs: usize) -> &mut Self {
-        self.jobs = parallel::effective_jobs(jobs);
-        self
-    }
-
-    /// Builder-style variant of [`Runner::set_jobs`].
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Overrides the node-count threshold above which `jobs > 1` engages
-    /// the worker pool (default: `parallel::MIN_NODES_PER_FORK`).  Both
-    /// paths are byte-identical; this only trades fork/join overhead
-    /// against parallel speedup, e.g. for rounds that do unusually heavy
-    /// per-node work.
-    pub fn set_fork_threshold(&mut self, nodes: usize) -> &mut Self {
-        self.fork_threshold = nodes.max(1);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.core.n()
-    }
-
-    /// The current round (the next one to be executed).
-    pub fn round(&self) -> Round {
-        self.core.round
-    }
-
-    /// The recorded trace (empty unless [`Runner::enable_trace`] was called).
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    /// Runs rounds until every non-faulty node has halted or `max_rounds`
-    /// rounds have been executed, and returns the execution report.
-    pub fn run(&mut self, max_rounds: u64) -> ExecutionReport<P::Output> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step();
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.report(termination)
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    ///
-    /// O(1): the engine core counts running nodes incrementally and
-    /// Byzantine participants never halt, so the check reduces to "are the
-    /// only nodes still running the surviving Byzantine ones?".
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.core.running_nodes() == self.byz_running
-    }
-
-    /// Executes one synchronous round: collect sends, apply the crash
-    /// adversary, deliver, finalize statuses.
-    ///
-    /// The four phases drive the sans-I/O [`RoundCore`]s; everything
-    /// order-sensitive (crash phase, metric merge, inbox routing,
-    /// decision/halt replay) happens on this thread in fixed node-index
-    /// order.  With more than one configured job (see [`Runner::set_jobs`])
-    /// the per-core phase bodies run on the runner's persistent worker
-    /// pool; the partition is invisible to callers.
-    pub fn step(&mut self) {
-        let n = self.n();
-        let desired = if parallel::should_fork(n, self.jobs, self.fork_threshold) {
-            ChunkPlan::new(n, self.jobs)
-        } else {
-            ChunkPlan::new(n, 1)
-        };
-        self.ensure_plan(desired);
-        let plan = self.plan;
-        let round = self.core.round;
-
-        // Phase 1: collect sends and intents in the cores.
-        self.run_phase(move |core| core.begin_round(round));
-        // Expose the freshly collected intents to the adversary through the
-        // flat per-node view its contract promises: ownership of each
-        // node's intent vector ping-pongs between the core and the flat
-        // slot (both sides rebuild per round, so only capacity persists).
-        for slot in &mut self.cores {
-            let core = slot.as_mut().expect("core home between phases");
-            for (i, intents) in core.send_intents.iter_mut().enumerate() {
-                std::mem::swap(&mut self.send_intents[core.base + i], intents);
-            }
-        }
-
-        // Phase 2 (always serial): the crash adversary picks this round's
-        // victims from one coherent view of the whole round; new crashes
-        // are mirrored into the owning cores' status copies, and their
-        // delivery filters collected for the delivery phase.
-        self.apply_crash_phase();
-        let mut filters: Vec<(usize, DeliveryFilter)> = Vec::new();
-        for &idx in self.core.crashed_this_round() {
-            let core = self.cores[plan.chunk_of(idx)]
-                .as_mut()
-                .expect("core home between phases");
-            let local = idx - core.base;
-            core.status[local] = self.core.status[idx];
-            if let Some(filter) = self.core.filter(idx) {
-                filters.push((idx, filter.clone()));
-            }
-        }
-
-        // Phase 3: cores scan their senders into per-core delivery
-        // scratch; the merge below walks cores in ascending order, which
-        // *is* sender-index order, so inbox ordering and metric totals are
-        // independent of the partition.
-        let filters = if filters.is_empty() {
-            Arc::clone(&self.no_filters)
-        } else {
-            Arc::new(filters)
-        };
-        self.run_phase(move |core| core.deliver(&filters));
-        for ci in 0..self.cores.len() {
-            let (msgs, bits, byz, mut delivered) = {
-                let core = self.cores[ci].as_mut().expect("core home");
-                (
-                    core.msgs,
-                    core.bits,
-                    core.byz_msgs,
-                    std::mem::take(&mut core.delivered),
-                )
-            };
-            self.core
-                .metrics
-                .record_messages(round.as_u64(), msgs, bits);
-            self.core.metrics.byzantine_messages += byz;
-            for (dest, msg) in delivered.drain(..) {
-                if dest < n && self.core.status[dest].is_running() {
-                    let dest_core = self.cores[plan.chunk_of(dest)].as_mut().expect("core home");
-                    dest_core.inboxes[dest - dest_core.base].push(msg);
-                }
-            }
-            // Hand the (now empty) scratch back so its capacity persists.
-            self.cores[ci].as_mut().expect("core home").delivered = delivered;
-        }
-
-        // Phase 4: cores drive `receive`; the replay below walks cores in
-        // ascending order, so decisions and halts land in node-index order
-        // and the trace is independent of the partition.
-        self.run_phase(move |core| {
-            core.finalize(round);
-        });
-        for ci in 0..self.cores.len() {
-            let events = {
-                let core = self.cores[ci].as_mut().expect("core home");
-                std::mem::take(&mut core.events)
-            };
-            for event in &events {
-                if event.decided {
-                    let core = self.cores[ci].as_ref().expect("core home");
-                    let output = core.outputs[event.node - core.base]
-                        .as_ref()
-                        .expect("decision recorded");
-                    self.core.record_decision(event.node, output);
-                }
-                if event.halted {
-                    self.core.mark_halted(event.node);
-                    let core = self.cores[ci].as_mut().expect("core home");
-                    core.status[event.node - core.base] = NodeStatus::Halted;
-                }
-            }
-            self.cores[ci].as_mut().expect("core home").events = events;
-        }
-        self.core.finish_round();
-    }
-
-    /// Runs the crash phase and keeps the Byzantine-survivor count in sync
-    /// (every crash must route through here).
-    fn apply_crash_phase(&mut self) {
-        self.core
-            .apply_crash_phase(&mut *self.adversary, &self.send_intents, &self.poll_intents);
-        for &idx in self.core.crashed_this_round() {
-            if self.byzantine_mask[idx] {
-                // Byzantine nodes never halt, so a struck one was running.
-                self.byz_running -= 1;
-            }
-        }
-    }
-
-    /// Runs one phase body over every core: inline on this thread while the
-    /// partition has a single core, on the persistent pool otherwise.
-    /// Core `i` always runs on worker `i`; see [`WorkerPool::run_phase`]
-    /// for the ownership-shuttle protocol and the panic behaviour.
-    fn run_phase(&mut self, phase: impl Fn(&mut RoundCore<P>) + Clone + Send + 'static) {
-        if self.cores.len() > 1 {
-            let pool = self.pool.as_ref().expect("pool engaged");
-            pool.run_phase(&mut self.cores, phase);
-        } else {
-            let core = self.cores[0].as_mut().expect("core home");
-            phase(core);
-        }
-    }
-
-    /// Re-partitions the cores (and spawns or resizes the pool) according
-    /// to `plan`.  No-op when the current cores already follow `plan`.
-    fn ensure_plan(&mut self, plan: ChunkPlan) {
-        if self.plan == plan {
-            return;
-        }
-        let n = self.n();
-        if plan.chunks > 1 && self.pool.as_ref().map(WorkerPool::workers) != Some(plan.chunks) {
-            self.pool = Some(WorkerPool::new(plan.chunks));
-        }
-        // Drain the old partition into flat per-node state, then deal it
-        // back out chunk by chunk (statuses re-mirrored from the engine
-        // core, scratch rebuilt empty — it is between-rounds state).
-        let mut participants = Vec::with_capacity(n);
-        let mut outgoing = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
-        let mut byz_inboxes = Vec::with_capacity(n);
-        let mut outputs = Vec::with_capacity(n);
-        for slot in self.cores.drain(..) {
-            let core = slot.expect("core home");
-            participants.extend(core.participants);
-            outgoing.extend(core.outgoing);
-            inboxes.extend(core.inboxes);
-            byz_inboxes.extend(core.byz_inboxes);
-            outputs.extend(core.outputs);
-        }
-        let mut participants = participants.drain(..);
-        let mut outgoing = outgoing.drain(..);
-        let mut inboxes = inboxes.drain(..);
-        let mut byz_inboxes = byz_inboxes.drain(..);
-        let mut outputs = outputs.drain(..);
-        self.cores = (0..plan.chunks)
-            .map(|ci| {
-                let range = plan.range(ci, n);
-                let len = range.len();
-                Some(RoundCore {
-                    base: range.start,
-                    participants: participants.by_ref().take(len).collect(),
-                    status: self.core.status[range.clone()].to_vec(),
-                    byz: self.byzantine_mask[range].to_vec(),
-                    outgoing: outgoing.by_ref().take(len).collect(),
-                    send_intents: (0..len).map(|_| Vec::new()).collect(),
-                    inboxes: inboxes.by_ref().take(len).collect(),
-                    byz_inboxes: byz_inboxes.by_ref().take(len).collect(),
-                    outputs: outputs.by_ref().take(len).collect(),
-                    delivered: Vec::new(),
-                    events: Vec::new(),
-                    msgs: 0,
-                    bits: 0,
-                    byz_msgs: 0,
-                })
-            })
-            .collect();
-        self.plan = plan;
-    }
-
-    /// Builds the final report: outputs are gathered from the cores in
-    /// ascending base order.
-    fn report(&self, termination: Termination) -> ExecutionReport<P::Output> {
-        let n = self.n();
-        let byzantine = NodeSet::from_iter(
+        let byzantine = byzantine_set(&participants);
+        let core = RoundCore::new(0, participants);
+        let host = InProcess::new(core, n, parallel::MIN_NODES_PER_FORK);
+        Engine::with_host(
             n,
-            self.byzantine_mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &byz)| byz)
-                .map(|(i, _)| NodeId::new(i)),
-        );
-        let outputs = self
-            .cores
-            .iter()
-            .flat_map(|slot| slot.as_ref().expect("core home").outputs.iter().cloned())
-            .collect();
-        ExecutionReport {
-            outputs,
-            crashed_at: self.core.crashed_at.clone(),
-            halted_at: self.core.halted_at.clone(),
+            adversary,
+            fault_budget,
             byzantine,
-            metrics: self.core.metrics.clone(),
-            termination,
-        }
+            host,
+            Self::multi_port_round,
+        )
     }
 }
 
-impl<P: SyncProtocol> std::fmt::Debug for Runner<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runner")
-            .field("n", &self.n())
-            .field("round", &self.core.round)
-            .field("crashes", &self.core.crashes)
-            .finish_non_exhaustive()
+impl<H: MultiPortHost> Engine<H> {
+    /// Executes one multi-port round on whichever host carries the chunks.
+    pub(crate) fn multi_port_round(&mut self) -> Result<(), H::Error> {
+        let round = self.core.round;
+        let n = self.core.n();
+        self.host.gather_intents(round, &mut self.send_intents)?;
+        self.crash_phase();
+        let crashed = self.core.crashed_this_round().iter();
+        let crashes: Vec<(usize, DeliveryFilter)> = crashed
+            .filter_map(|&idx| Some((idx, self.core.filter(idx)?.clone())))
+            .collect();
+        // Merging chunks in ascending order *is* sender-index order, so
+        // inbox order and metric totals are independent of the partition.
+        self.host.stage_delivery(round, &crashes)?;
+        for ci in 0..self.host.chunks() {
+            let mut staged = self.host.take_staged(ci)?;
+            let metrics = &mut self.core.metrics;
+            metrics.record_messages(round.as_u64(), staged.messages, staged.bits);
+            metrics.byzantine_messages += staged.byzantine_messages;
+            for (dest, msg) in staged.delivered.drain(..) {
+                if dest < n && self.core.status[dest].is_running() {
+                    self.host.route(dest, msg);
+                }
+            }
+            self.host.return_staged(ci, staged.delivered);
+        }
+        self.host.receive_phase(round)?;
+        self.replay_and_finish()
+    }
+}
+
+impl<P: SyncProtocol> ChunkCore for RoundCore<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn replay_events(&mut self, event: &mut EventSink<'_, P::Output>) {
+        replay_core_events(
+            self.base,
+            &self.events,
+            &self.outputs,
+            &mut self.status,
+            event,
+        );
+    }
+
+    fn outputs(&self) -> &[Option<P::Output>] {
+        &self.outputs
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        RoundCore {
+            base: self.base + at,
+            participants: self.participants.split_off(at),
+            status: self.status.split_off(at),
+            byz: self.byz.split_off(at),
+            outgoing: self.outgoing.split_off(at),
+            send_intents: self.send_intents.split_off(at),
+            inboxes: self.inboxes.split_off(at),
+            byz_inboxes: self.byz_inboxes.split_off(at),
+            outputs: self.outputs.split_off(at),
+            delivered: Vec::new(),
+            events: Vec::new(),
+            msgs: 0,
+            bits: 0,
+            byz_msgs: 0,
+        }
+    }
+
+    fn append(&mut self, mut other: Self) {
+        self.participants.append(&mut other.participants);
+        self.status.append(&mut other.status);
+        self.byz.append(&mut other.byz);
+        self.outgoing.append(&mut other.outgoing);
+        self.send_intents.append(&mut other.send_intents);
+        self.inboxes.append(&mut other.inboxes);
+        self.byz_inboxes.append(&mut other.byz_inboxes);
+        self.outputs.append(&mut other.outputs);
+    }
+}
+
+impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
+    fn gather_intents(
+        &mut self,
+        round: Round,
+        intents: &mut [Vec<NodeId>],
+    ) -> Result<(), Infallible> {
+        self.prepare(intents.len());
+        self.run_phase(move |core| core.begin_round(round));
+        // Each node's intent vector ping-pongs between its core and the
+        // flat slot; both sides rebuild it per round, so only capacity
+        // persists.
+        for core in self.cores_mut() {
+            for (i, list) in core.send_intents.iter_mut().enumerate() {
+                std::mem::swap(&mut intents[core.base + i], list);
+            }
+        }
+        Ok(())
+    }
+
+    fn stage_delivery(
+        &mut self,
+        round: Round,
+        crashes: &[(usize, DeliveryFilter)],
+    ) -> Result<(), Infallible> {
+        for &(node, _) in crashes {
+            let (core, local) = self.core_of(node);
+            core.set_crashed(local, round);
+        }
+        let filters = if crashes.is_empty() {
+            Arc::clone(&self.no_filters)
+        } else {
+            Arc::new(crashes.to_vec())
+        };
+        self.run_phase(move |core| core.deliver(&filters));
+        Ok(())
+    }
+
+    fn take_staged(&mut self, ci: usize) -> Result<Staged<P::Msg>, Infallible> {
+        let core = self.core(ci);
+        Ok(Staged {
+            messages: core.msgs,
+            bits: core.bits,
+            byzantine_messages: core.byz_msgs,
+            delivered: std::mem::take(&mut core.delivered),
+        })
+    }
+
+    fn route(&mut self, dest: usize, msg: Delivered<P::Msg>) {
+        let (core, local) = self.core_of(dest);
+        core.inboxes[local].push(msg);
+    }
+
+    fn receive_phase(&mut self, round: Round) -> Result<(), Infallible> {
+        self.run_phase(move |core| {
+            core.finalize(round);
+        });
+        Ok(())
+    }
+
+    fn return_staged(&mut self, ci: usize, delivered: Vec<(usize, Delivered<P::Msg>)>) {
+        self.core(ci).delivered = delivered;
     }
 }
 
@@ -531,7 +314,9 @@ pub fn run_with_crashes<P: SyncProtocol>(
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryView, CrashDirective, FixedCrashSchedule};
+    use crate::error::SimError;
     use crate::message::{Delivered, Outgoing};
+    use crate::report::Termination;
 
     /// Every node floods its input to all nodes each round; decides on the OR
     /// of everything seen after 3 rounds.

@@ -1,32 +1,29 @@
 //! Sharding a **single execution** across OS worker processes.
 //!
-//! The persistent worker pool (see [`crate::pool`]) exhausted intra-process
-//! parallelism; this module is the next order of magnitude: the per-node
-//! phase work of one run is partitioned into contiguous node-range chunks —
-//! exactly the sans-I/O [`RoundCore`]/[`SinglePortCore`] ownership unit the
-//! pool already dispatches (see [`crate::driver`]) — and each chunk is
-//! served by a **shard worker** on the far side of a [`ShardTransport`].
-//! Two backends exist:
+//! The in-process host (see [`crate::engine`]) splits one run's nodes into
+//! contiguous chunks of sans-I/O [`RoundCore`]s / [`SinglePortCore`]s; the
+//! transport host [`Remote`] serves each such chunk by a **shard worker** on
+//! the far side of a [`ShardTransport`] instead.  Two transport backends
+//! exist:
 //!
-//! * in-process: workers are jobs on the runner's own [`WorkerPool`],
+//! * in-process: workers are jobs on a [`WorkerPool`] owned by the host,
 //!   connected by [`ChannelTransport`] pairs (every frame still crosses the
-//!   full wire codec, so the in-process backend exercises the same protocol
-//!   the pipes do);
+//!   full wire codec, so this backend exercises the same protocol the pipes
+//!   do);
 //! * worker processes: `run_experiments --shard-worker` children connected
 //!   by length-prefixed pipes ([`StreamTransport`]); moving a shard to
 //!   another machine is a transport swap (pipe → socket), not a rewrite.
 //!
 //! # Determinism
 //!
-//! The coordinating process keeps everything order-sensitive, exactly as the
-//! pool's forked path does: the **crash-adversary phase** runs only in the
-//! parent (the adversary contract hands one mutable strategy a coherent view
-//! of the whole round), and per-chunk results — intents, delivered messages
-//! in sender order, metric deltas, decision/halt events — are merged in
-//! **fixed chunk order**, which is node-index order.  A sharded run is
-//! therefore byte-identical to a serial or `--jobs N` run of the same
-//! seeded workload; `crates/bench/tests/determinism.rs` pins this with
-//! table diffs and transcript proptests.
+//! [`ShardedRunner`] and [`SpShardedRunner`] are the same [`Engine`] as the
+//! in-process runners, paired with a [`Remote`] host: the crash-adversary
+//! phase, the fixed chunk-order merge, the single-port port buffers and the
+//! decision/halt replay run once, in the coordinating process, on the
+//! engine's own round loop.  A sharded run is therefore byte-identical to a
+//! serial or `--jobs N` run of the same seeded workload;
+//! `crates/bench/tests/determinism.rs` pins this with table diffs and
+//! transcript proptests.
 //!
 //! # Protocol
 //!
@@ -37,13 +34,14 @@
 //! port-map mutations itself (single-port), routes inbound messages, sends
 //! `Receive`, and replays the returned decision/halt events in chunk order.
 //! `Shutdown` ends the loop; a worker treats transport EOF as shutdown, so
-//! a dying parent never leaves workers spinning.
+//! a dying parent never leaves workers spinning.  Both sides reject
+//! malformed frames with an error instead of panicking.
 //!
 //! # Worker-failure recovery
 //!
 //! A worker process is *substrate*, not a simulated node: its death must
 //! not change the computed execution.  When [`Recovery`] is configured the
-//! coordinator retains every request frame it sends (per shard; `Shutdown`
+//! host retains every request frame it sends (per shard; `Shutdown`
 //! excluded), and on any transport failure — EOF, I/O error, read deadline
 //! ([`DeadlineTransport`]), an unexpected tag, or a payload that fails to
 //! decode — it obtains a fresh transport (the respawn factory, bounded by
@@ -68,18 +66,17 @@ use std::ops::Range;
 use std::time::Duration;
 
 use crate::adversary::{CrashAdversary, DeliveryFilter};
-use crate::delivery::{EngineCore, PortMap};
-use crate::driver::{NodeEvent, RoundCore, SinglePortCore};
+use crate::driver::{RoundCore, SinglePortCore};
+use crate::engine::{ChunkCore, Engine, EventSink, Host, MultiPortHost, SinglePortHost, Staged};
 use crate::error::{ShardError, SimError, SimResult};
 use crate::message::{Delivered, Outgoing, Payload};
 use crate::node::{NodeId, NodeSet};
 use crate::parallel::ChunkPlan;
 use crate::pool::WorkerPool;
-use crate::protocol::{NodeStatus, SinglePortProtocol, SyncProtocol};
-use crate::report::{ExecutionReport, Termination};
+use crate::protocol::{SinglePortProtocol, SyncProtocol};
+use crate::report::ExecutionReport;
 use crate::round::Round;
-use crate::runner::Participant;
-use crate::trace::Trace;
+use crate::runner::{byzantine_set, Participant};
 
 pub use fault::{ArmedPlan, FaultKind, FaultPlan, FaultSpec, FaultyTransport};
 pub use transport::{
@@ -261,38 +258,62 @@ impl<O: Wire> Wire for WireEvent<O> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// Encodes a chunk's decision/halt events as a `RESP_EVENTS` frame and
-/// applies this round's voluntary halts to the chunk's local status mirror
-/// (the pool's forked path does the latter during the main thread's replay;
-/// on a shard worker the serve loop is the only writer).  Shared by both
-/// serve loops so the event semantics cannot drift between the runner
-/// families.
-fn events_response<O: Wire + Clone>(
-    events: &[NodeEvent],
-    outputs: &[Option<O>],
-    status: &mut [NodeStatus],
-    base: usize,
-) -> Vec<u8> {
-    let mut resp = frame(RESP_EVENTS);
-    let wire_events: Vec<WireEvent<O>> = events
-        .iter()
-        .map(|event| WireEvent {
-            node: event.node,
-            halted: event.halted,
-            output: event.decided.then(|| {
-                outputs[event.node - base]
-                    .clone()
-                    .expect("decided event has an output")
-            }),
-        })
-        .collect();
-    wire_events.encode(&mut resp);
-    for event in events {
-        if event.halted {
-            status[event.node - base] = NodeStatus::Halted;
-        }
+fn invalid(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
+/// Checks a chunk-local node index from a request frame.
+fn local_node(local: usize, len: usize) -> io::Result<usize> {
+    if local < len {
+        Ok(local)
+    } else {
+        Err(invalid(format!(
+            "node {local} outside a chunk of {len} nodes"
+        )))
     }
+}
+
+/// Encodes a chunk's decision/halt events of the last finalize as a
+/// `RESP_EVENTS` frame, mirroring voluntary halts into the chunk's status
+/// as the in-process host's replay does.
+fn events_response<C: ChunkCore>(chunk: &mut C) -> Vec<u8>
+where
+    C::Output: Wire,
+{
+    let mut events = Vec::new();
+    chunk.replay_events(&mut |node, output, halted| {
+        events.push(WireEvent {
+            node,
+            halted,
+            output: output.cloned(),
+        });
+    });
+    let mut resp = frame(RESP_EVENTS);
+    events.encode(&mut resp);
     resp
+}
+
+/// The request loop both serve functions share: answers every request
+/// with `respond(chunk, tag, round, payload)` until `Shutdown` or a clean
+/// EOF, which a worker treats as shutdown.
+fn serve_chunk<C>(
+    mut chunk: C,
+    transport: &mut dyn ShardTransport,
+    respond: impl Fn(&mut C, u8, Round, &mut WireReader<'_>) -> io::Result<Vec<u8>>,
+) -> io::Result<()> {
+    loop {
+        let request = match transport.recv() {
+            Ok(frame) => frame,
+            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+            Err(err) => return Err(err),
+        };
+        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
+        if tag == REQ_SHUTDOWN {
+            return Ok(());
+        }
+        let round = Round::decode(&mut r).map_err(wire_io)?;
+        transport.send(&respond(&mut chunk, tag, round, &mut r)?)?;
+    }
 }
 
 /// Serves one multi-port chunk over `transport` until `Shutdown` (or EOF).
@@ -305,7 +326,8 @@ fn events_response<O: Wire + Clone>(
 /// # Errors
 ///
 /// Returns an I/O error when the transport fails mid-execution or a frame is
-/// malformed; a clean EOF before a request is treated as shutdown.
+/// malformed (including a node index outside the chunk); a clean EOF before
+/// a request is treated as shutdown.
 pub fn serve_multi_port<P>(
     participants: Vec<Participant<P>>,
     base: usize,
@@ -316,72 +338,54 @@ where
     P::Msg: Wire,
     P::Output: Wire,
 {
-    let mut chunk = RoundCore::new(base, participants);
-    loop {
-        let request = match transport.recv() {
-            Ok(frame) => frame,
-            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(err) => return Err(err),
-        };
-        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
-        match tag {
-            REQ_COLLECT => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                chunk.begin_round(round);
-                let mut resp = frame(RESP_INTENTS);
-                chunk.send_intents.encode(&mut resp);
-                transport.send(&resp)?;
-            }
-            REQ_DELIVER => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let crashed: Vec<(usize, DeliveryFilter)> = Vec::decode(&mut r).map_err(wire_io)?;
-                let mut filters = Vec::with_capacity(crashed.len());
-                for (local, filter) in crashed {
-                    chunk.status[local] = NodeStatus::Crashed(round);
-                    filters.push((base + local, filter));
-                }
-                chunk.deliver(&filters);
-                let mut resp = frame(RESP_DELIVERED);
-                chunk.msgs.encode(&mut resp);
-                chunk.bits.encode(&mut resp);
-                chunk.byz_msgs.encode(&mut resp);
-                chunk.delivered.encode(&mut resp);
-                chunk.delivered.clear();
-                transport.send(&resp)?;
-            }
-            REQ_RECEIVE => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let inbound: Vec<(usize, Delivered<P::Msg>)> =
-                    Vec::decode(&mut r).map_err(wire_io)?;
-                for (local, msg) in inbound {
-                    chunk.accept(local, msg);
-                }
-                chunk.finalize(round);
-                let resp = events_response(&chunk.events, &chunk.outputs, &mut chunk.status, base);
-                transport.send(&resp)?;
-            }
-            REQ_SHUTDOWN => return Ok(()),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected shard request tag {other}"),
-                ))
-            }
+    let len = participants.len();
+    let chunk = RoundCore::new(base, participants);
+    serve_chunk(chunk, transport, |chunk, tag, round, r| match tag {
+        REQ_COLLECT => {
+            chunk.begin_round(round);
+            let mut resp = frame(RESP_INTENTS);
+            chunk.send_intents.encode(&mut resp);
+            Ok(resp)
         }
-    }
+        REQ_DELIVER => {
+            let crashed: Vec<(usize, DeliveryFilter)> = Vec::decode(r).map_err(wire_io)?;
+            let mut filters = Vec::with_capacity(crashed.len());
+            for (local, filter) in crashed {
+                chunk.set_crashed(local_node(local, len)?, round);
+                filters.push((base + local, filter));
+            }
+            chunk.deliver(&filters);
+            let mut resp = frame(RESP_DELIVERED);
+            (chunk.msgs, chunk.bits, chunk.byz_msgs).encode(&mut resp);
+            chunk.delivered.encode(&mut resp);
+            chunk.delivered.clear();
+            Ok(resp)
+        }
+        REQ_RECEIVE => {
+            let inbound: Vec<(usize, Delivered<P::Msg>)> = Vec::decode(r).map_err(wire_io)?;
+            for (local, msg) in inbound {
+                chunk.accept(local_node(local, len)?, msg);
+            }
+            chunk.finalize(round);
+            Ok(events_response(chunk))
+        }
+        other => Err(invalid(format!("unexpected shard request tag {other}"))),
+    })
 }
 
 /// Serves one single-port chunk over `transport` until `Shutdown` (or EOF).
 ///
-/// The port map and its mutations (enqueue, drain, drop) live in the parent
-/// — they are shared, order-sensitive state — so the single-port worker only
-/// runs the per-node `send`/`poll` collection and the `receive` loop over
-/// parent-pre-drained port contents.
+/// The port map and its mutations (enqueue, drain, drop) live in the
+/// parent's engine — they are shared, order-sensitive state — so the
+/// single-port worker only runs the per-node `send`/`poll` collection and
+/// the `receive` loop over parent-pre-drained port contents.
 ///
 /// # Errors
 ///
 /// Returns an I/O error when the transport fails mid-execution or a frame is
-/// malformed; a clean EOF before a request is treated as shutdown.
+/// malformed (including a node index outside the chunk or a poll-result
+/// list of the wrong length); a clean EOF before a request is treated as
+/// shutdown.
 pub fn serve_single_port<P>(
     nodes: Vec<P>,
     base: usize,
@@ -392,63 +396,74 @@ where
     P::Msg: Wire,
     P::Output: Wire,
 {
-    let mut chunk = SinglePortCore::new(base, nodes);
-    loop {
-        let request = match transport.recv() {
-            Ok(frame) => frame,
-            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(err) => return Err(err),
-        };
-        let (tag, mut r) = open_frame(&request).map_err(wire_io)?;
-        match tag {
-            REQ_COLLECT => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                chunk.begin_round(round);
-                let mut resp = frame(RESP_SP_INTENTS);
-                // The parent enqueues the sends itself, so they are *moved*
-                // out of the chunk exactly as the pool's forked path takes
-                // them.
-                let sends: Vec<Option<Outgoing<P::Msg>>> =
-                    chunk.sends.iter_mut().map(Option::take).collect();
-                sends.encode(&mut resp);
-                chunk.polls.encode(&mut resp);
-                transport.send(&resp)?;
-            }
-            REQ_SP_RECEIVE => {
-                let round = Round::decode(&mut r).map_err(wire_io)?;
-                let crashed: Vec<usize> = Vec::decode(&mut r).map_err(wire_io)?;
-                let drained: Vec<Option<Vec<P::Msg>>> = Vec::decode(&mut r).map_err(wire_io)?;
-                for local in crashed {
-                    chunk.status[local] = NodeStatus::Crashed(round);
-                }
-                chunk.drained = drained;
-                chunk.finalize(round);
-                let resp = events_response(&chunk.events, &chunk.outputs, &mut chunk.status, base);
-                transport.send(&resp)?;
-            }
-            REQ_SHUTDOWN => return Ok(()),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected shard request tag {other}"),
-                ))
-            }
+    let len = nodes.len();
+    let chunk = SinglePortCore::new(base, nodes);
+    serve_chunk(chunk, transport, |chunk, tag, round, r| match tag {
+        REQ_COLLECT => {
+            chunk.begin_round(round);
+            let mut resp = frame(RESP_SP_INTENTS);
+            // The parent's engine enqueues the sends itself, so they are
+            // *moved* out of the chunk, exactly as in process.
+            let sends: Vec<Option<Outgoing<P::Msg>>> =
+                chunk.sends.iter_mut().map(Option::take).collect();
+            sends.encode(&mut resp);
+            chunk.polls.encode(&mut resp);
+            Ok(resp)
         }
-    }
+        REQ_SP_RECEIVE => {
+            let crashed: Vec<usize> = Vec::decode(r).map_err(wire_io)?;
+            let drained: Vec<Option<Vec<P::Msg>>> = Vec::decode(r).map_err(wire_io)?;
+            if drained.len() != len {
+                let got = drained.len();
+                return Err(invalid(format!("{got} poll results for {len} nodes")));
+            }
+            for local in crashed {
+                chunk.set_crashed(local_node(local, len)?, round);
+            }
+            chunk.drained = drained;
+            chunk.finalize(round);
+            Ok(events_response(chunk))
+        }
+        other => Err(invalid(format!("unexpected shard request tag {other}"))),
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Parent side
 // ---------------------------------------------------------------------------
 
-/// State common to both sharded coordinators.
-struct Coordinator {
-    core: EngineCore,
-    adversary: Box<dyn CrashAdversary>,
-    transports: Vec<Box<dyn ShardTransport>>,
+/// Bound alias for message types the shard protocol can carry.
+pub trait WireMsg: Payload + Wire {}
+impl<M: Payload + Wire> WireMsg for M {}
+
+/// Bound alias for output types the shard protocol can carry.
+pub trait WireOutput: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static {}
+impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput for O {}
+
+/// Model marker of a [`Remote`] host whose workers serve
+/// [`serve_multi_port`].
+#[derive(Debug)]
+pub enum MultiPort {}
+
+/// Model marker of a [`Remote`] host whose workers serve
+/// [`serve_single_port`].
+#[derive(Debug)]
+pub enum SinglePort {}
+
+/// The transport host: each of an [`Engine`]'s chunks is served by a shard
+/// worker behind a [`ShardTransport`], for the model `Md`.
+///
+/// It never holds protocol state machines — it is generic over the message
+/// and output wire types only — so the worker-process backend does not pay
+/// for a redundant parent-side node construction.  It turns each phase into
+/// frames and owns the worker-failure recovery ladder (see the module
+/// docs).
+pub struct Remote<M, O, Md> {
+    n: usize,
     plan: ChunkPlan,
-    send_intents: Vec<Vec<NodeId>>,
-    poll_intents: Vec<Option<NodeId>>,
+    transports: Vec<Box<dyn ShardTransport>>,
+    /// The round in flight (error context).
+    round: Round,
     /// Per-shard retained request log (only fed while recovery is
     /// configured; `Shutdown` is never logged).  On recovery the whole log
     /// is replayed to the fresh transport — sound because the worker
@@ -460,63 +475,56 @@ struct Coordinator {
     respawns_used: Vec<u32>,
     fallback_active: Vec<bool>,
     stats: RecoveryStats,
-    /// Keeps in-process serving threads alive for the coordinator's
-    /// lifetime; `None` for remote (process/pipe) backends.
+    /// Every node's first output, as its worker reported it.
+    outputs: Vec<Option<O>>,
+    /// Multi-port: this round's inbound messages per chunk, tagged with
+    /// their chunk-local destination.
+    inbound: Vec<Vec<(usize, Delivered<M>)>>,
+    /// Single-port: this round's sends, crash victims (chunk-local) and
+    /// poll results per chunk.
+    sends: Vec<Vec<Option<Outgoing<M>>>>,
+    victims: Vec<Vec<usize>>,
+    polled: Vec<Vec<Option<Vec<M>>>>,
+    /// Keeps in-process serving threads alive for the host's lifetime
+    /// (declared after `transports`, so workers see EOF before the join);
+    /// `None` for remote (process/pipe) backends.
     _pool: Option<WorkerPool>,
+    _model: PhantomData<fn() -> Md>,
 }
 
-impl Coordinator {
+impl<M: WireMsg, O: WireOutput, Md> Remote<M, O, Md> {
     fn new(
         n: usize,
-        adversary: Box<dyn CrashAdversary>,
-        fault_budget: usize,
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
         pool: Option<WorkerPool>,
-    ) -> SimResult<Self> {
-        if n == 0 {
-            return Err(SimError::EmptySystem);
-        }
-        if fault_budget >= n {
-            return Err(SimError::InvalidConfig(format!(
-                "fault budget {fault_budget} must be smaller than the number of nodes {n}"
-            )));
-        }
+    ) -> Self {
         // Parent and workers must agree on the partition, so both derive it
         // from the *requested* shard count (see [`shard_count`] /
         // [`shard_range`]), never from the transport count.
         let plan = ChunkPlan::new(n, shards.max(1));
-        if plan.chunks != transports.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "{} shard transports for a partition of {} chunks (use shard_count({n}, {shards}))",
-                transports.len(),
-                plan.chunks
-            )));
-        }
-        let chunks = transports.len();
-        Ok(Coordinator {
-            core: EngineCore::new(n, fault_budget),
-            adversary,
-            transports,
+        let chunks = plan.chunks;
+        Remote {
+            n,
             plan,
-            send_intents: (0..n).map(|_| Vec::new()).collect(),
-            poll_intents: vec![None; n],
-            frame_log: (0..chunks).map(|_| Vec::new()).collect(),
+            transports,
+            round: Round::ZERO,
+            frame_log: per_chunk(chunks),
             stashed: (0..chunks).map(|_| None).collect(),
             recovery: None,
             respawns_used: vec![0; chunks],
             fallback_active: vec![false; chunks],
             stats: RecoveryStats::default(),
+            outputs: (0..n).map(|_| None).collect(),
+            inbound: per_chunk(chunks),
+            sends: per_chunk(chunks),
+            victims: per_chunk(chunks),
+            polled: (0..chunks)
+                .map(|ci| plan.range(ci, n).map(|_| None).collect())
+                .collect(),
             _pool: pool,
-        })
-    }
-
-    fn n(&self) -> usize {
-        self.core.n()
-    }
-
-    fn set_recovery(&mut self, recovery: Recovery) {
-        self.recovery = Some(recovery);
+            _model: PhantomData,
+        }
     }
 
     /// Sends one request to shard `ci`, retaining it in the frame log and
@@ -534,10 +542,13 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Broadcasts one already-encoded request to every shard worker.
-    fn broadcast(&mut self, request: &[u8]) -> SimResult<()> {
+    /// Broadcasts this round's `Collect` request to every shard worker.
+    fn broadcast_collect(&mut self, round: Round) -> SimResult<()> {
+        self.round = round;
+        let mut request = frame(REQ_COLLECT);
+        round.encode(&mut request);
         for ci in 0..self.transports.len() {
-            self.send_to(ci, request)?;
+            self.send_to(ci, &request)?;
         }
         Ok(())
     }
@@ -577,7 +588,7 @@ impl Coordinator {
     /// retained log has been replayed and the outstanding request's
     /// response, if any, is stashed.
     fn recover(&mut self, ci: usize, tag: Option<u8>, reason: String) -> SimResult<()> {
-        let round = self.core.round.as_u64();
+        let round = self.round.as_u64();
         let fail = move |detail: String| -> SimError {
             let mut err = ShardError::new(ci, detail).with_round(round);
             if let Some(tag) = tag {
@@ -632,7 +643,7 @@ impl Coordinator {
             } else {
                 self.stats.respawns += 1;
             }
-            match self.replay(ci) {
+            match self.replay_log(ci) {
                 Ok(()) => {
                     self.stats.replayed_frames += self.frame_log[ci].len() as u64;
                     self.stats.replayed_rounds += round;
@@ -653,7 +664,7 @@ impl Coordinator {
     /// Replays every retained request to shard `ci`'s (fresh) transport in
     /// lock-step, discarding every response but the last, which is stashed
     /// for the outstanding request.
-    fn replay(&mut self, ci: usize) -> io::Result<()> {
+    fn replay_log(&mut self, ci: usize) -> io::Result<()> {
         self.stashed[ci] = None;
         let mut last_response = None;
         for request in &self.frame_log[ci] {
@@ -663,10 +674,58 @@ impl Coordinator {
         self.stashed[ci] = last_response;
         Ok(())
     }
+}
+
+impl<M: WireMsg, O: WireOutput, Md> Host for Remote<M, O, Md> {
+    type Msg = M;
+    type Output = O;
+    type Error = SimError;
+
+    fn chunks(&self) -> usize {
+        self.transports.len()
+    }
+
+    /// Receives shard `ci`'s events, rejecting any for a node the shard
+    /// does not own.
+    fn replay_events(&mut self, ci: usize, event: &mut EventSink<'_, O>) -> SimResult<()> {
+        let range = self.plan.range(ci, self.n);
+        let events: Vec<WireEvent<O>> = self.transact(ci, RESP_EVENTS, |r| {
+            let events: Vec<WireEvent<O>> =
+                Vec::decode(r).map_err(|err| format!("events: {err}"))?;
+            match events.iter().find(|event| !range.contains(&event.node)) {
+                Some(stray) => Err(format!(
+                    "an event for node {} outside {range:?}",
+                    stray.node
+                )),
+                None => Ok(events),
+            }
+        })?;
+        for WireEvent {
+            node,
+            halted,
+            output,
+        } in events
+        {
+            let decided = output.is_some();
+            if decided {
+                self.outputs[node] = output;
+            }
+            event(
+                node,
+                self.outputs[node].as_ref().filter(|_| decided),
+                halted,
+            );
+        }
+        Ok(())
+    }
+
+    fn outputs(&self) -> Vec<Option<O>> {
+        self.outputs.clone()
+    }
 
     /// Best-effort shutdown of every worker (errors ignored: a worker that
     /// already went away has nothing left to shut down).
-    fn shutdown(&mut self) {
+    fn finish_run(&mut self) {
         let request = frame(REQ_SHUTDOWN);
         for transport in &mut self.transports {
             let _ = transport.send(&request);
@@ -674,29 +733,232 @@ impl Coordinator {
     }
 }
 
-/// Bound alias for message types the shard protocol can carry.
-pub trait WireMsg: Payload + Wire {}
-impl<M: Payload + Wire> WireMsg for M {}
+/// One empty buffer per chunk.
+fn per_chunk<T>(chunks: usize) -> Vec<Vec<T>> {
+    (0..chunks).map(|_| Vec::new()).collect()
+}
 
-/// Bound alias for output types the shard protocol can carry.
-pub trait WireOutput: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static {}
-impl<O: Wire + Clone + PartialEq + std::fmt::Debug + Send + 'static> WireOutput for O {}
+impl<M: WireMsg, O: WireOutput> MultiPortHost for Remote<M, O, MultiPort> {
+    fn gather_intents(&mut self, round: Round, intents: &mut [Vec<NodeId>]) -> SimResult<()> {
+        self.broadcast_collect(round)?;
+        for ci in 0..self.transports.len() {
+            let range = self.plan.range(ci, self.n);
+            let len = range.len();
+            let lists: Vec<Vec<NodeId>> = self.transact(ci, RESP_INTENTS, move |r| {
+                let lists: Vec<Vec<NodeId>> =
+                    Vec::decode(r).map_err(|err| format!("intents: {err}"))?;
+                if lists.len() != len {
+                    return Err(format!("{} intent lists for {len} nodes", lists.len()));
+                }
+                Ok(lists)
+            })?;
+            for (slot, list) in intents[range].iter_mut().zip(lists) {
+                *slot = list;
+            }
+        }
+        Ok(())
+    }
+
+    fn stage_delivery(
+        &mut self,
+        round: Round,
+        crashes: &[(usize, DeliveryFilter)],
+    ) -> SimResult<()> {
+        for ci in 0..self.transports.len() {
+            let range = self.plan.range(ci, self.n);
+            let crashed: Vec<(usize, DeliveryFilter)> = crashes
+                .iter()
+                .filter(|(node, _)| range.contains(node))
+                .map(|(node, filter)| (node - range.start, filter.clone()))
+                .collect();
+            let mut request = frame(REQ_DELIVER);
+            round.encode(&mut request);
+            crashed.encode(&mut request);
+            self.send_to(ci, &request)?;
+        }
+        Ok(())
+    }
+
+    fn take_staged(&mut self, ci: usize) -> SimResult<Staged<M>> {
+        self.transact(ci, RESP_DELIVERED, |r| {
+            let context = |err| format!("delivery: {err}");
+            Ok(Staged {
+                messages: u64::decode(r).map_err(context)?,
+                bits: u64::decode(r).map_err(context)?,
+                byzantine_messages: u64::decode(r).map_err(context)?,
+                delivered: Vec::decode(r).map_err(context)?,
+            })
+        })
+    }
+
+    fn route(&mut self, dest: usize, msg: Delivered<M>) {
+        let ci = self.plan.chunk_of(dest);
+        self.inbound[ci].push((dest - ci * self.plan.chunk_len, msg));
+    }
+
+    fn receive_phase(&mut self, round: Round) -> SimResult<()> {
+        for ci in 0..self.transports.len() {
+            let mut request = frame(REQ_RECEIVE);
+            round.encode(&mut request);
+            self.inbound[ci].encode(&mut request);
+            self.inbound[ci].clear();
+            self.send_to(ci, &request)?;
+        }
+        Ok(())
+    }
+}
+
+impl<M: WireMsg, O: WireOutput> SinglePortHost for Remote<M, O, SinglePort> {
+    fn gather_sends(
+        &mut self,
+        round: Round,
+        intents: &mut [Vec<NodeId>],
+        polls: &mut [Option<NodeId>],
+    ) -> SimResult<()> {
+        self.broadcast_collect(round)?;
+        for ci in 0..self.transports.len() {
+            let range = self.plan.range(ci, self.n);
+            let len = range.len();
+            let (sends, chunk_polls) = self.transact(ci, RESP_SP_INTENTS, move |r| {
+                let context = |err| format!("intents: {err}");
+                let sends: Vec<Option<Outgoing<M>>> = Vec::decode(r).map_err(context)?;
+                let polls: Vec<Option<NodeId>> = Vec::decode(r).map_err(context)?;
+                if sends.len() != len || polls.len() != len {
+                    let (s, p) = (sends.len(), polls.len());
+                    return Err(format!("{s}/{p} send/poll slots for {len} nodes"));
+                }
+                Ok((sends, polls))
+            })?;
+            for (node, send) in range.clone().zip(&sends) {
+                intents[node].clear();
+                intents[node].extend(send.iter().map(|o| o.to));
+            }
+            polls[range].copy_from_slice(&chunk_polls);
+            self.sends[ci] = sends;
+        }
+        Ok(())
+    }
+
+    fn receive_phase(&mut self, round: Round) -> SimResult<()> {
+        for ci in 0..self.transports.len() {
+            let mut request = frame(REQ_SP_RECEIVE);
+            round.encode(&mut request);
+            self.victims[ci].encode(&mut request);
+            self.polled[ci].encode(&mut request);
+            self.victims[ci].clear();
+            self.polled[ci].fill(None);
+            self.send_to(ci, &request)?;
+        }
+        Ok(())
+    }
+
+    fn mirror_crashes(&mut self, _round: Round, victims: &[usize]) {
+        for &node in victims {
+            let ci = self.plan.chunk_of(node);
+            self.victims[ci].push(node - ci * self.plan.chunk_len);
+        }
+    }
+
+    fn send_slots(&mut self, ci: usize) -> (usize, &mut [Option<Outgoing<M>>]) {
+        (ci * self.plan.chunk_len, &mut self.sends[ci])
+    }
+
+    fn poll_slots(&mut self, ci: usize) -> (usize, &mut [Option<Vec<M>>]) {
+        (ci * self.plan.chunk_len, &mut self.polled[ci])
+    }
+}
+
+/// Serves `nodes` in-process: one [`WorkerPool`] job per chunk of
+/// `shard_count(n, shards)`, each running `serve` behind a
+/// [`ChannelTransport`].
+fn serve_in_process<N: Send + 'static>(
+    nodes: Vec<N>,
+    shards: usize,
+    serve: fn(Vec<N>, usize, &mut dyn ShardTransport) -> io::Result<()>,
+) -> (Vec<Box<dyn ShardTransport>>, WorkerPool) {
+    let n = nodes.len();
+    let plan = ChunkPlan::new(n, shards.max(1));
+    let pool = WorkerPool::new(plan.chunks);
+    let mut nodes = nodes.into_iter();
+    let transports = (0..plan.chunks)
+        .map(|ci| {
+            let range = plan.range(ci, n);
+            let chunk: Vec<N> = nodes.by_ref().take(range.len()).collect();
+            let (parent_end, mut worker_end) = ChannelTransport::pair();
+            pool.submit(
+                ci,
+                Box::new(move || {
+                    serve(chunk, range.start, &mut worker_end)
+                        .expect("in-process shard worker failed");
+                }),
+            );
+            Box::new(parent_end) as Box<dyn ShardTransport>
+        })
+        .collect();
+    (transports, pool)
+}
 
 /// Coordinates one **multi-port** execution whose chunks live behind shard
-/// transports.
+/// transports: the [`Engine`] paired with a [`Remote`] host.
 ///
-/// The coordinator is generic over the message and output wire types only —
-/// it never holds protocol state machines, so the worker-process backend
-/// does not pay for a redundant parent-side node construction.  Use
-/// [`ShardedRunner::in_process`] to serve the chunks on this process's own
-/// worker pool, or [`ShardedRunner::connect`] with transports to external
-/// workers (see `run_experiments --shard-worker`).
-pub struct ShardedRunner<M: WireMsg, O: WireOutput> {
-    inner: Coordinator,
-    outputs: Vec<Option<O>>,
-    byzantine: NodeSet,
-    byz_running: usize,
-    _msg: PhantomData<fn() -> M>,
+/// Use [`ShardedRunner::in_process`] to serve the chunks on this process's
+/// own worker pool, or [`ShardedRunner::connect`] with transports to
+/// external workers (see `run_experiments --shard-worker`).
+pub type ShardedRunner<M, O> = Engine<Remote<M, O, MultiPort>>;
+
+/// Coordinates one **single-port** execution whose chunks live behind shard
+/// transports: the [`Engine`] paired with a [`Remote`] host.  The sparse
+/// port map and every mutation of it stay in the parent's engine.
+pub type SpShardedRunner<M, O> = Engine<Remote<M, O, SinglePort>>;
+
+impl<M: WireMsg, O: WireOutput, Md> Engine<Remote<M, O, Md>> {
+    /// The engine over `host`'s nodes, checking that it has one transport
+    /// per chunk of the partition.
+    fn sharded(
+        host: Remote<M, O, Md>,
+        adversary: Box<dyn CrashAdversary>,
+        fault_budget: usize,
+        byzantine: NodeSet,
+        execute: fn(&mut Self) -> SimResult<()>,
+    ) -> SimResult<Self> {
+        let n = host.n;
+        let engine = Engine::with_host(n, adversary, fault_budget, byzantine, host, execute)?;
+        let (chunks, transports) = (engine.host.plan.chunks, engine.host.transports.len());
+        if chunks != transports {
+            return Err(SimError::InvalidConfig(format!(
+                "{transports} shard transports for a partition of {chunks} chunks \
+                 (see shard_count)"
+            )));
+        }
+        Ok(engine)
+    }
+
+    /// Arms worker-failure recovery: from now on every request frame is
+    /// retained and a failing shard transport climbs the
+    /// respawn → fallback → error ladder instead of aborting the run.
+    pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
+        self.host.recovery = Some(recovery);
+        self
+    }
+
+    /// What the recovery ladder did so far.
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        self.host.stats
+    }
+
+    /// Runs the sharded execution until every non-faulty node has halted or
+    /// `max_rounds` rounds have been executed, shuts the workers down, and
+    /// returns the execution report.
+    ///
+    /// Single-shot: the workers are gone afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Shard`] when a worker dies or answers with a
+    /// malformed frame mid-execution and recovery cannot mend it.
+    pub fn run(&mut self, max_rounds: u64) -> SimResult<ExecutionReport<O>> {
+        self.try_run(max_rounds)
+    }
 }
 
 impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
@@ -720,14 +982,14 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        let byz_running = byzantine.len();
-        Ok(ShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, None)?,
-            outputs: (0..n).map(|_| None).collect(),
+        let host = Remote::new(n, shards, transports, None);
+        Self::sharded(
+            host,
+            adversary,
+            fault_budget,
             byzantine,
-            byz_running,
-            _msg: PhantomData,
-        })
+            Self::multi_port_round,
+        )
     }
 
     /// Spawns an in-process sharded execution: the participants are split
@@ -745,254 +1007,22 @@ impl<M: WireMsg, O: WireOutput> ShardedRunner<M, O> {
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
         shards: usize,
-    ) -> SimResult<ShardedRunner<P::Msg, P::Output>>
+    ) -> SimResult<Self>
     where
         P: SyncProtocol<Msg = M, Output = O>,
     {
-        if participants.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
         let n = participants.len();
-        let byzantine = NodeSet::from_iter(
-            n,
-            participants
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p, Participant::Byzantine(_)))
-                .map(|(i, _)| NodeId::new(i)),
-        );
-        let plan = ChunkPlan::new(n, shards.max(1));
-        let pool = WorkerPool::new(plan.chunks);
-        let mut transports: Vec<Box<dyn ShardTransport>> = Vec::with_capacity(plan.chunks);
-        let mut participants = participants.into_iter();
-        for ci in 0..plan.chunks {
-            let range = plan.range(ci, n);
-            let chunk_participants: Vec<Participant<P>> =
-                participants.by_ref().take(range.len()).collect();
-            let (parent_end, mut worker_end) = ChannelTransport::pair();
-            let base = range.start;
-            pool.submit(
-                ci,
-                Box::new(move || {
-                    serve_multi_port(chunk_participants, base, &mut worker_end)
-                        .expect("in-process shard worker failed");
-                }),
-            );
-            transports.push(Box::new(parent_end));
-        }
-        let byz_running = byzantine.len();
-        Ok(ShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, Some(pool))?,
-            outputs: (0..n).map(|_| None).collect(),
+        let byzantine = byzantine_set(&participants);
+        let (transports, pool) = serve_in_process(participants, shards, serve_multi_port::<P>);
+        let host = Remote::new(n, shards, transports, Some(pool));
+        Self::sharded(
+            host,
+            adversary,
+            fault_budget,
             byzantine,
-            byz_running,
-            _msg: PhantomData,
-        })
+            Self::multi_port_round,
+        )
     }
-
-    /// Enables coarse-grained event tracing (decisions, halts, crashes) in
-    /// the coordinator.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.inner.core.trace = Trace::enabled();
-        self
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.core.trace
-    }
-
-    /// Arms worker-failure recovery: from now on every request frame is
-    /// retained and a failing shard transport climbs the
-    /// respawn → fallback → error ladder instead of aborting the run.
-    pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
-        self.inner.set_recovery(recovery);
-        self
-    }
-
-    /// What the recovery ladder did so far.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.stats
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.inner.core.running_nodes() == self.byz_running
-    }
-
-    /// Runs the sharded execution until every non-faulty node has halted or
-    /// `max_rounds` rounds have been executed, shuts the workers down, and
-    /// returns the execution report.
-    ///
-    /// Single-shot: the workers are gone afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Shard`] when a worker dies or answers with a
-    /// malformed frame mid-execution.
-    pub fn run(&mut self, max_rounds: u64) -> SimResult<ExecutionReport<O>> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step()?;
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.inner.shutdown();
-        Ok(ExecutionReport {
-            outputs: self.outputs.clone(),
-            crashed_at: self.inner.core.crashed_at.clone(),
-            halted_at: self.inner.core.halted_at.clone(),
-            byzantine: self.byzantine.clone(),
-            metrics: self.inner.core.metrics.clone(),
-            termination,
-        })
-    }
-
-    /// One sharded multi-port round: the transcription of the pool engine's
-    /// forked `step` with the three phase dispatches replaced by frames.
-    fn step(&mut self) -> SimResult<()> {
-        let n = self.inner.n();
-        let plan = self.inner.plan;
-        let round = self.inner.core.round;
-
-        // Phase 1: collect sends on the workers; merge intents flat.
-        let mut request = frame(REQ_COLLECT);
-        round.encode(&mut request);
-        self.inner.broadcast(&request)?;
-        for ci in 0..self.inner.transports.len() {
-            let range = plan.range(ci, n);
-            let range_len = range.len();
-            let intents: Vec<Vec<NodeId>> = self.inner.transact(ci, RESP_INTENTS, move |r| {
-                let intents: Vec<Vec<NodeId>> =
-                    Vec::decode(r).map_err(|err| format!("intents: {err}"))?;
-                if intents.len() != range_len {
-                    return Err(format!(
-                        "{} intent lists for {range_len} nodes",
-                        intents.len()
-                    ));
-                }
-                Ok(intents)
-            })?;
-            for (i, list) in intents.into_iter().enumerate() {
-                self.inner.send_intents[range.start + i] = list;
-            }
-        }
-
-        // Phase 2 (parent only): the crash adversary sees the whole round.
-        self.inner.core.apply_crash_phase(
-            &mut *self.inner.adversary,
-            &self.inner.send_intents,
-            &self.inner.poll_intents,
-        );
-        let mut crashed_by_chunk: Vec<Vec<(usize, DeliveryFilter)>> =
-            (0..self.inner.transports.len())
-                .map(|_| Vec::new())
-                .collect();
-        for &idx in self.inner.core.crashed_this_round() {
-            if self.byzantine.contains(NodeId::new(idx)) {
-                self.byz_running -= 1;
-            }
-            let ci = plan.chunk_of(idx);
-            let filter = self
-                .inner
-                .core
-                .filter(idx)
-                .cloned()
-                .unwrap_or(DeliveryFilter::All);
-            crashed_by_chunk[ci].push((idx - plan.range(ci, n).start, filter));
-        }
-
-        // Phase 3: workers deliver; merge metric deltas and route surviving
-        // messages in ascending chunk (= sender) order.
-        for (ci, crashed) in crashed_by_chunk.into_iter().enumerate() {
-            let mut request = frame(REQ_DELIVER);
-            round.encode(&mut request);
-            crashed.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-        let mut inbound_by_chunk: Vec<Vec<(usize, Delivered<M>)>> =
-            (0..self.inner.transports.len())
-                .map(|_| Vec::new())
-                .collect();
-        for ci in 0..self.inner.transports.len() {
-            let (msgs, bits, byz_msgs, delivered) =
-                self.inner.transact(ci, RESP_DELIVERED, |r| {
-                    let context = |err| format!("delivery: {err}");
-                    let msgs = u64::decode(r).map_err(context)?;
-                    let bits = u64::decode(r).map_err(context)?;
-                    let byz_msgs = u64::decode(r).map_err(context)?;
-                    let delivered: Vec<(usize, Delivered<M>)> = Vec::decode(r).map_err(context)?;
-                    Ok((msgs, bits, byz_msgs, delivered))
-                })?;
-            self.inner
-                .core
-                .metrics
-                .record_messages(round.as_u64(), msgs, bits);
-            self.inner.core.metrics.byzantine_messages += byz_msgs;
-            for (dest, msg) in delivered {
-                if dest < n && self.inner.core.status[dest].is_running() {
-                    let dest_chunk = plan.chunk_of(dest);
-                    let local = dest - plan.range(dest_chunk, n).start;
-                    inbound_by_chunk[dest_chunk].push((local, msg));
-                }
-            }
-        }
-
-        // Phase 4: workers receive; replay decision/halt events in chunk
-        // order so traces and statuses update exactly as in a serial run.
-        for (ci, inbound) in inbound_by_chunk.into_iter().enumerate() {
-            let mut request = frame(REQ_RECEIVE);
-            round.encode(&mut request);
-            inbound.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-        for ci in 0..self.inner.transports.len() {
-            let events: Vec<WireEvent<O>> = self.inner.transact(ci, RESP_EVENTS, |r| {
-                let events: Vec<WireEvent<O>> =
-                    Vec::decode(r).map_err(|err| format!("events: {err}"))?;
-                if let Some(event) = events.iter().find(|event| event.node >= n) {
-                    return Err(format!("an event for node {} of {n}", event.node));
-                }
-                Ok(events)
-            })?;
-            for event in events {
-                if let Some(output) = event.output {
-                    self.inner.core.record_decision(event.node, &output);
-                    self.outputs[event.node] = Some(output);
-                }
-                if event.halted {
-                    self.inner.core.mark_halted(event.node);
-                }
-            }
-        }
-        self.inner.core.finish_round();
-        Ok(())
-    }
-}
-
-impl<M: WireMsg, O: WireOutput> std::fmt::Debug for ShardedRunner<M, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedRunner")
-            .field("n", &self.inner.n())
-            .field("round", &self.inner.core.round)
-            .field("shards", &self.inner.transports.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Coordinates one **single-port** execution whose chunks live behind shard
-/// transports.
-///
-/// The sparse port map and every mutation of it (enqueue in sender order,
-/// pre-drain in poller order, crash/halt-time drops) stay in the parent —
-/// exactly the split the pool's forked path uses.
-pub struct SpShardedRunner<M: WireMsg, O: WireOutput> {
-    inner: Coordinator,
-    outputs: Vec<Option<O>>,
-    ports: PortMap<M>,
-    sends: Vec<Option<Outgoing<M>>>,
 }
 
 impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
@@ -1011,12 +1041,14 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         shards: usize,
         transports: Vec<Box<dyn ShardTransport>>,
     ) -> SimResult<Self> {
-        Ok(SpShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, None)?,
-            outputs: (0..n).map(|_| None).collect(),
-            ports: PortMap::new(),
-            sends: (0..n).map(|_| None).collect(),
-        })
+        let host = Remote::new(n, shards, transports, None);
+        Self::sharded(
+            host,
+            adversary,
+            fault_budget,
+            NodeSet::empty(n),
+            Self::single_port_round,
+        )
     }
 
     /// Spawns an in-process sharded single-port execution (see
@@ -1032,235 +1064,20 @@ impl<M: WireMsg, O: WireOutput> SpShardedRunner<M, O> {
         adversary: Box<dyn CrashAdversary>,
         fault_budget: usize,
         shards: usize,
-    ) -> SimResult<SpShardedRunner<P::Msg, P::Output>>
+    ) -> SimResult<Self>
     where
         P: SinglePortProtocol<Msg = M, Output = O>,
     {
-        if nodes.is_empty() {
-            return Err(SimError::EmptySystem);
-        }
         let n = nodes.len();
-        let plan = ChunkPlan::new(n, shards.max(1));
-        let pool = WorkerPool::new(plan.chunks);
-        let mut transports: Vec<Box<dyn ShardTransport>> = Vec::with_capacity(plan.chunks);
-        let mut nodes = nodes.into_iter();
-        for ci in 0..plan.chunks {
-            let range = plan.range(ci, n);
-            let chunk_nodes: Vec<P> = nodes.by_ref().take(range.len()).collect();
-            let (parent_end, mut worker_end) = ChannelTransport::pair();
-            let base = range.start;
-            pool.submit(
-                ci,
-                Box::new(move || {
-                    serve_single_port(chunk_nodes, base, &mut worker_end)
-                        .expect("in-process shard worker failed");
-                }),
-            );
-            transports.push(Box::new(parent_end));
-        }
-        Ok(SpShardedRunner {
-            inner: Coordinator::new(n, adversary, fault_budget, shards, transports, Some(pool))?,
-            outputs: (0..n).map(|_| None).collect(),
-            ports: PortMap::new(),
-            sends: (0..n).map(|_| None).collect(),
-        })
-    }
-
-    /// Enables coarse-grained event tracing in the coordinator.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.inner.core.trace = Trace::enabled();
-        self
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.core.trace
-    }
-
-    /// Arms worker-failure recovery (see [`ShardedRunner::set_recovery`]).
-    pub fn set_recovery(&mut self, recovery: Recovery) -> &mut Self {
-        self.inner.set_recovery(recovery);
-        self
-    }
-
-    /// What the recovery ladder did so far.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.stats
-    }
-
-    /// Total sent-but-not-yet-polled messages currently buffered on ports.
-    pub fn buffered_messages(&self) -> usize {
-        self.ports.buffered_messages()
-    }
-
-    /// Number of ports currently buffering at least one message.
-    pub fn ports_in_use(&self) -> usize {
-        self.ports.ports_in_use()
-    }
-
-    /// Whether every node that has not crashed has halted voluntarily.
-    pub fn all_non_faulty_halted(&self) -> bool {
-        self.inner.core.running_nodes() == 0
-    }
-
-    /// Runs the sharded execution until every non-faulty node has halted or
-    /// `max_rounds` rounds have been executed, shuts the workers down, and
-    /// returns the execution report.  Single-shot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Shard`] when a worker dies or answers with a
-    /// malformed frame mid-execution.
-    pub fn run(&mut self, max_rounds: u64) -> SimResult<ExecutionReport<O>> {
-        let mut termination = Termination::RoundLimit;
-        for _ in 0..max_rounds {
-            self.step()?;
-            if self.all_non_faulty_halted() {
-                termination = Termination::AllHalted;
-                break;
-            }
-        }
-        self.inner.shutdown();
-        Ok(ExecutionReport {
-            outputs: self.outputs.clone(),
-            crashed_at: self.inner.core.crashed_at.clone(),
-            halted_at: self.inner.core.halted_at.clone(),
-            byzantine: NodeSet::empty(self.inner.n()),
-            metrics: self.inner.core.metrics.clone(),
-            termination,
-        })
-    }
-
-    /// One sharded single-port round: the transcription of the pool
-    /// engine's forked `step` with the two phase dispatches replaced by
-    /// frames.
-    fn step(&mut self) -> SimResult<()> {
-        let n = self.inner.n();
-        let plan = self.inner.plan;
-        let round = self.inner.core.round;
-
-        // Phase 1: collect each node's single send and poll intent.
-        let mut request = frame(REQ_COLLECT);
-        round.encode(&mut request);
-        self.inner.broadcast(&request)?;
-        for ci in 0..self.inner.transports.len() {
-            let range = plan.range(ci, n);
-            let range_len = range.len();
-            let (sends, polls) = self.inner.transact(ci, RESP_SP_INTENTS, move |r| {
-                let context = |err| format!("intents: {err}");
-                let sends: Vec<Option<Outgoing<M>>> = Vec::decode(r).map_err(context)?;
-                let polls: Vec<Option<NodeId>> = Vec::decode(r).map_err(context)?;
-                if sends.len() != range_len || polls.len() != range_len {
-                    return Err(format!(
-                        "{}/{} send/poll slots for {range_len} nodes",
-                        sends.len(),
-                        polls.len()
-                    ));
-                }
-                Ok((sends, polls))
-            })?;
-            for (i, (send, poll)) in sends.into_iter().zip(polls).enumerate() {
-                let global = range.start + i;
-                self.inner.send_intents[global].clear();
-                self.inner.send_intents[global].extend(send.iter().map(|o| o.to));
-                self.sends[global] = send;
-                self.inner.poll_intents[global] = poll;
-            }
-        }
-
-        // Phase 2 (parent only): crash adversary; crashed destinations'
-        // buffered ports are freed, exactly as in the serial engine.
-        self.inner.core.apply_crash_phase(
-            &mut *self.inner.adversary,
-            &self.inner.send_intents,
-            &self.inner.poll_intents,
-        );
-        let mut crashed_by_chunk: Vec<Vec<usize>> = (0..self.inner.transports.len())
-            .map(|_| Vec::new())
-            .collect();
-        for &victim in self.inner.core.crashed_this_round() {
-            self.ports.drop_destination(victim);
-            let ci = plan.chunk_of(victim);
-            crashed_by_chunk[ci].push(victim - plan.range(ci, n).start);
-        }
-
-        // Phase 3 (parent only): enqueue onto destination ports in sender
-        // order, applying mid-round crash filters and counting every send.
-        for sender_idx in 0..n {
-            let Some(out) = self.sends[sender_idx].take() else {
-                continue;
-            };
-            if let Some(filter) = self.inner.core.filter(sender_idx) {
-                if !filter.allows(0, out.to) {
-                    continue;
-                }
-            }
-            self.inner
-                .core
-                .metrics
-                .record_message(round.as_u64(), out.msg.bit_len());
-            let dest = out.to.index();
-            if dest < n && self.inner.core.status[dest].is_running() {
-                self.ports.push(dest, sender_idx, out.msg);
-            }
-        }
-
-        // Pre-drain polled ports in node-index order, then hand each chunk
-        // its drained contents together with this round's crash mirror.
-        for (ci, crashed) in crashed_by_chunk.into_iter().enumerate() {
-            let range = plan.range(ci, n);
-            let drained: Vec<Option<Vec<M>>> = range
-                .clone()
-                .map(|global| {
-                    if self.inner.core.status[global].is_running() {
-                        self.inner.poll_intents[global]
-                            .map(|port| self.ports.drain(global, port.index()))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let mut request = frame(REQ_SP_RECEIVE);
-            round.encode(&mut request);
-            crashed.encode(&mut request);
-            drained.encode(&mut request);
-            self.inner.send_to(ci, &request)?;
-        }
-
-        // Phase 4: replay decision/halt events in chunk order; halted
-        // nodes' buffered ports are freed.
-        for ci in 0..self.inner.transports.len() {
-            let events: Vec<WireEvent<O>> = self.inner.transact(ci, RESP_EVENTS, |r| {
-                let events: Vec<WireEvent<O>> =
-                    Vec::decode(r).map_err(|err| format!("events: {err}"))?;
-                if let Some(event) = events.iter().find(|event| event.node >= n) {
-                    return Err(format!("an event for node {} of {n}", event.node));
-                }
-                Ok(events)
-            })?;
-            for event in events {
-                if let Some(output) = event.output {
-                    self.inner.core.record_decision(event.node, &output);
-                    self.outputs[event.node] = Some(output);
-                }
-                if event.halted {
-                    self.inner.core.mark_halted(event.node);
-                    self.ports.drop_destination(event.node);
-                }
-            }
-        }
-        self.inner.core.finish_round();
-        Ok(())
-    }
-}
-
-impl<M: WireMsg, O: WireOutput> std::fmt::Debug for SpShardedRunner<M, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpShardedRunner")
-            .field("n", &self.inner.n())
-            .field("round", &self.inner.core.round)
-            .field("shards", &self.inner.transports.len())
-            .finish_non_exhaustive()
+        let (transports, pool) = serve_in_process(nodes, shards, serve_single_port::<P>);
+        let host = Remote::new(n, shards, transports, Some(pool));
+        Self::sharded(
+            host,
+            adversary,
+            fault_budget,
+            NodeSet::empty(n),
+            Self::single_port_round,
+        )
     }
 }
 

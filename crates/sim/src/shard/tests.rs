@@ -732,3 +732,126 @@ fn wire_event_round_trips() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Malformed frames
+// ---------------------------------------------------------------------------
+
+/// Feeds one hand-built request to a real serve loop over a channel
+/// transport and returns the error it must answer with.  The parent end is
+/// dropped first, so a loop that wrongly accepted the frame fails on its
+/// response with a different error kind instead of hanging.
+fn reject(request: Vec<u8>, serve: impl FnOnce(&mut ChannelTransport) -> io::Result<()>) {
+    let (mut parent, mut worker) = ChannelTransport::pair();
+    parent.send(&request).expect("queue the request");
+    drop(parent);
+    let err = serve(&mut worker).expect_err("a malformed frame must be rejected");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+}
+
+/// A request frame of `tag` for round 0, ready for its payload.
+fn request(tag: u8) -> Vec<u8> {
+    let mut out = frame(tag);
+    Round::ZERO.encode(&mut out);
+    out
+}
+
+fn flood_chunk() -> Vec<Participant<FloodOr>> {
+    FloodOr::nodes(4, 0)
+        .into_iter()
+        .map(Participant::Honest)
+        .collect()
+}
+
+#[test]
+fn deliver_frame_crashing_a_node_outside_the_chunk_is_rejected() {
+    let mut frame = request(REQ_DELIVER);
+    vec![(4usize, DeliveryFilter::All)].encode(&mut frame);
+    reject(frame, |t| serve_multi_port(flood_chunk(), 0, t));
+}
+
+#[test]
+fn receive_frame_for_a_node_outside_the_chunk_is_rejected() {
+    let mut frame = request(REQ_RECEIVE);
+    vec![(7usize, Delivered::new(NodeId::new(0), true))].encode(&mut frame);
+    reject(frame, |t| serve_multi_port(flood_chunk(), 0, t));
+}
+
+#[test]
+fn sp_receive_frame_crashing_a_node_outside_the_chunk_is_rejected() {
+    let mut frame = request(REQ_SP_RECEIVE);
+    vec![9usize].encode(&mut frame);
+    vec![None::<Vec<bool>>; 4].encode(&mut frame);
+    reject(frame, |t| serve_single_port(Ring::nodes(4, 0), 0, t));
+}
+
+#[test]
+fn sp_receive_frame_with_too_few_poll_results_is_rejected() {
+    let mut frame = request(REQ_SP_RECEIVE);
+    Vec::<usize>::new().encode(&mut frame);
+    vec![None::<Vec<bool>>; 2].encode(&mut frame);
+    reject(frame, |t| serve_single_port(Ring::nodes(4, 0), 0, t));
+}
+
+/// A shard-0 worker that answers every phase well-formed but reports a
+/// decision for node 3, which shard 1 owns.
+fn stray_event_worker() -> Box<dyn ShardTransport> {
+    let (parent_end, mut worker) = ChannelTransport::pair();
+    std::thread::spawn(move || {
+        while let Ok(request) = worker.recv() {
+            let Ok((tag, _)) = open_frame(&request) else {
+                break;
+            };
+            let response = match tag {
+                REQ_COLLECT => {
+                    let mut resp = frame(RESP_INTENTS);
+                    vec![Vec::<NodeId>::new(); 2].encode(&mut resp);
+                    resp
+                }
+                REQ_DELIVER => {
+                    let mut resp = frame(RESP_DELIVERED);
+                    (0u64, 0u64, 0u64).encode(&mut resp);
+                    Vec::<(usize, Delivered<bool>)>::new().encode(&mut resp);
+                    resp
+                }
+                REQ_RECEIVE => {
+                    let mut resp = frame(RESP_EVENTS);
+                    let stray = WireEvent {
+                        node: 3,
+                        halted: true,
+                        output: Some(true),
+                    };
+                    vec![stray].encode(&mut resp);
+                    resp
+                }
+                _ => break,
+            };
+            if worker.send(&response).is_err() {
+                break;
+            }
+        }
+    });
+    Box::new(parent_end)
+}
+
+#[test]
+fn worker_event_for_a_node_outside_its_shard_is_a_shard_error() {
+    let (n, shards) = (4, 2);
+    let transports = vec![stray_event_worker(), flood_or_worker(n, shards, 1)];
+    let mut sharded = ShardedRunner::<bool, bool>::connect(
+        n,
+        Box::new(NoFaults),
+        0,
+        NodeSet::empty(n),
+        shards,
+        transports,
+    )
+    .unwrap();
+    let err = sharded.run(5).unwrap_err();
+    let SimError::Shard(shard_err) = err else {
+        panic!("expected a shard error, got {err}");
+    };
+    assert_eq!(shard_err.shard, 0);
+    assert_eq!(shard_err.frame_tag, Some(RESP_EVENTS));
+    assert!(shard_err.detail.contains("node 3"), "{}", shard_err.detail);
+}
