@@ -571,7 +571,7 @@ mod tests {
     fn pool_reused_across_two_runs_matches_two_serial_runs() {
         use crate::parallel::MIN_NODES_PER_FORK;
         let n = MIN_NODES_PER_FORK + 3;
-        let run_twice = |jobs: usize| {
+        let run_twice = |first_jobs: usize, second_jobs: usize| {
             let protocols: Vec<CountingSender> = (0..n)
                 .map(|i| CountingSender {
                     target: (i + 1) % n,
@@ -585,20 +585,25 @@ mod tests {
                 .crash_at(5, CrashDirective::after_send(NodeId::new(2)));
             let mut runner = Runner::with_adversary(protocols, Box::new(adversary), 2)
                 .unwrap()
-                .with_jobs(jobs);
+                .with_jobs(first_jobs);
             runner.enable_trace();
             // Two back-to-back run() calls: the second resumes the same
-            // execution (and, with jobs > 1, the same pool and cores).
+            // execution (and, with jobs > 1, the same pool and cores, or
+            // re-partitioned ones when the job count changed in between).
             let first = runner.run(4);
+            runner.set_jobs(second_jobs);
             let second = runner.run(10);
             (first, second, runner.trace().events().to_vec())
         };
-        let serial = run_twice(1);
-        let pooled = run_twice(4);
-        assert_eq!(serial.0, pooled.0, "first run() report");
-        assert_eq!(serial.1, pooled.1, "second run() report");
-        assert_eq!(serial.2, pooled.2, "combined trace");
-        assert_eq!(pooled.1.metrics.crashes, 2);
+        let serial = run_twice(1, 1);
+        for (first_jobs, second_jobs) in [(4, 4), (4, 3), (3, 1)] {
+            let pooled = run_twice(first_jobs, second_jobs);
+            let jobs = format!("jobs {first_jobs} then {second_jobs}");
+            assert_eq!(serial.0, pooled.0, "first run() report, {jobs}");
+            assert_eq!(serial.1, pooled.1, "second run() report, {jobs}");
+            assert_eq!(serial.2, pooled.2, "combined trace, {jobs}");
+            assert_eq!(pooled.1.metrics.crashes, 2);
+        }
     }
 
     /// The parallel path preserves Byzantine accounting: uncounted Byzantine
@@ -608,23 +613,30 @@ mod tests {
         use crate::adversary::byzantine::FloodByzantine;
         use crate::parallel::MIN_NODES_PER_FORK;
         let n = MIN_NODES_PER_FORK + 2;
-        let run = |jobs: usize| {
+        let run = |first_jobs: usize, second_jobs: usize| {
+            // The Byzantine node is the last one, so it lives in the last
+            // core of every partition.
             let mut participants: Vec<Participant<FloodOr>> = (1..n)
                 .map(|i| Participant::Honest(FloodOr::new(n, i == 1)))
                 .collect();
-            participants.insert(
-                0,
-                Participant::Byzantine(Box::new(FloodByzantine::<bool>::new(n))),
-            );
+            participants.push(Participant::Byzantine(Box::new(
+                FloodByzantine::<bool>::new(n),
+            )));
             let mut runner = Runner::with_participants(participants, Box::new(NoFaults), 0)
                 .unwrap()
-                .with_jobs(jobs);
+                .with_jobs(first_jobs);
+            // A job-count change mid-execution re-partitions the cores,
+            // which must carry the Byzantine node's retained inbox along.
+            runner.run(1);
+            runner.set_jobs(second_jobs);
             runner.run(10)
         };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial, parallel);
-        assert!(parallel.metrics.byzantine_messages > 0);
+        let serial = run(1, 1);
+        for (first_jobs, second_jobs) in [(4, 4), (4, 1), (1, 3)] {
+            let parallel = run(first_jobs, second_jobs);
+            assert_eq!(serial, parallel, "jobs {first_jobs} then {second_jobs}");
+            assert!(parallel.metrics.byzantine_messages > 0);
+        }
     }
 
     /// Regression test for the halted-destination rule: once a node halts,
