@@ -88,7 +88,7 @@ pub trait MultiPortHost: Host {
     fn stage_delivery(
         &mut self,
         round: Round,
-        crashes: &[(usize, DeliveryFilter)],
+        crashes: Vec<(usize, DeliveryFilter)>,
     ) -> Result<(), Self::Error>;
     /// Chunk `ci`'s staged messages and counters.
     fn take_staged(&mut self, ci: usize) -> Result<Staged<Self::Msg>, Self::Error>;

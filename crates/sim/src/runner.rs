@@ -163,7 +163,7 @@ impl<H: MultiPortHost> Engine<H> {
             .collect();
         // Merging chunks in ascending order *is* sender-index order, so
         // inbox order and metric totals are independent of the partition.
-        self.host.stage_delivery(round, &crashes)?;
+        self.host.stage_delivery(round, crashes)?;
         for ci in 0..self.host.chunks() {
             let mut staged = self.host.take_staged(ci)?;
             let metrics = &mut self.core.metrics;
@@ -252,16 +252,16 @@ impl<P: SyncProtocol> MultiPortHost for InProcess<RoundCore<P>> {
     fn stage_delivery(
         &mut self,
         round: Round,
-        crashes: &[(usize, DeliveryFilter)],
+        crashes: Vec<(usize, DeliveryFilter)>,
     ) -> Result<(), Infallible> {
-        for &(node, _) in crashes {
+        for &(node, _) in &crashes {
             let (core, local) = self.core_of(node);
             core.set_crashed(local, round);
         }
         let filters = if crashes.is_empty() {
             Arc::clone(&self.no_filters)
         } else {
-            Arc::new(crashes.to_vec())
+            Arc::new(crashes)
         };
         self.run_phase(move |core| core.deliver(&filters));
         Ok(())

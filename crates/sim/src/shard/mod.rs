@@ -762,7 +762,7 @@ impl<M: WireMsg, O: WireOutput> MultiPortHost for Remote<M, O, MultiPort> {
     fn stage_delivery(
         &mut self,
         round: Round,
-        crashes: &[(usize, DeliveryFilter)],
+        crashes: Vec<(usize, DeliveryFilter)>,
     ) -> SimResult<()> {
         for ci in 0..self.transports.len() {
             let range = self.plan.range(ci, self.n);
