@@ -4,13 +4,13 @@
 //! `measure_*` execution is partitioned across `N` **worker processes**: the
 //! parent spawns `run_experiments --shard-worker` children connected by
 //! length-prefixed pipes, hands each a [`MeasureKind`] + workload handshake,
-//! and then drives the round protocol of [`dft_sim::shard`] — keeping the
-//! crash-adversary phase and the fixed-chunk-order merge, so sharded tables
-//! are **byte-identical** to `--jobs N` and serial ones.
+//! and then runs the same round engine a local measurement runs, over the
+//! transport host of [`dft_sim::shard`] — so sharded tables are
+//! **byte-identical** to `--jobs N` and serial ones.
 //!
 //! A worker rebuilds the experiment's nodes deterministically from the
 //! workload (node construction is a pure function of `(kind, n, t, seed)`;
-//! see the `build_*` functions in the crate root), keeps only its contiguous
+//! see the measurement table in the crate root), keeps only its contiguous
 //! node range, and serves it until shutdown.  Nothing protocol-specific
 //! crosses the pipe except wire-encoded messages and outputs
 //! ([`dft_sim::shard::Wire`]).
